@@ -2,10 +2,12 @@
 
 Four subcommands (electron, epr, sterngerlach, budget) read a config
 file plus flag overrides, run the corresponding physics module, and
-write CSV/JSON artifacts into the output directory. Angles cross the
-boundary in degrees and are converted to radians internally. Every
-artifact embeds the resolved configuration and the tool version, and
-identical configurations produce byte-identical output.
+write CSV/JSON artifacts into the output directory. The flags are
+generated from the config registry, so types, choices and help live in
+one place. Angles cross the boundary in degrees and are converted to
+radians internally. Every artifact embeds the resolved configuration
+and the tool version, and identical configurations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,11 +19,16 @@ import sys
 from pathlib import Path
 
 from . import __version__, epr_model, spin_dynamics
-from .config import RunConfig, parse_config
+from .config import REGISTRY, Option, RunConfig, parse_config
 from .constants import COHESIVE_POTENTIAL_EV, UNIT_SYSTEMS
 from .electron_model import PROFILE_COLUMNS, PlaneWaveElectron, profile_rows
-from .errors import ConfigError, ElectronLabError
+from .errors import ConfigError, DomainError, ElectronLabError
 from .uncertainty import budget_report
+
+# Most rows one run may emit: profile points, curve settings or
+# recorded trajectory samples. Checked before any loop runs, so a tiny
+# step fails at once instead of looping over rows without bound.
+_MAX_ROWS = 1_000_000
 
 
 def _fmt(value) -> str:
@@ -39,9 +46,17 @@ def _meta(config: RunConfig) -> dict:
     return {"version": __version__, "config": config.resolved()}
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=False) + "\n",
-                    encoding="utf-8")
+def _json_text(payload: dict) -> str:
+    """Strict RFC 8259 JSON: a NaN or infinity is an error, not a token."""
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("the run produced a non-finite value; "
+                          "the inputs exceed double precision") from None
+
+
+def _write(path: Path, text: str):
+    path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
 
 
@@ -52,29 +67,27 @@ def _write_csv(path: Path, columns, rows, config: RunConfig):
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+    _write(path, "\n".join(lines) + "\n")
 
 
-def _write_table(path: Path, name: str, columns, rows, config: RunConfig):
-    """Tabular artifact in the configured format (CSV gets a JSON mirror)."""
-    payload = {**_meta(config), "columns": list(columns), "rows": rows}
+def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **header):
+    """Tabular artifact in the configured format (CSV gets a JSON mirror).
+
+    `header` entries go into the JSON between the metadata and the
+    table. The JSON is encoded first, so a rejected run writes no file.
+    """
+    text = _json_text({**_meta(config), **header, "columns": list(columns), "rows": rows})
     if config.format == "csv":
-        _write_csv(path / f"{name}.csv", columns, rows, config)
-    _write_json(path / f"{name}.json", payload)
-
-
-def _out_dir(config: RunConfig) -> Path:
-    path = Path(config.out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+        _write_csv(out / f"{name}.csv", columns, rows, config)
+    _write(out / f"{name}.json", text)
 
 
 def _run_electron(config: RunConfig, out: Path) -> int:
+    """density/energy/wavefunction profiles"""
     p = config.params
     points = p["electron.points"]
-    if points < 1:
-        raise ConfigError(f"electron.points must be >= 1, got {points}")
+    if not 1 <= points <= _MAX_ROWS:
+        raise ConfigError(f"electron.points must lie in [1, {_MAX_ROWS}], got {points}")
     zmin, zmax = p["electron.zmin"], p["electron.zmax"]
     if points > 1 and zmax <= zmin:
         raise ConfigError(f"electron.zmax must exceed electron.zmin, got {zmax} <= {zmin}")
@@ -92,22 +105,15 @@ def _run_electron(config: RunConfig, out: Path) -> int:
         zs = [zmin + i * step for i in range(points)]
     rows = profile_rows(electron, zs, t=p["electron.t"])
 
-    payload = {**_meta(config),
-               "wavelength": electron.wavelength,
-               "nu": electron.nu,
-               "E0": electron.E0,
-               "H0": electron.H0,
-               "cohesive_potential_ev": COHESIVE_POTENTIAL_EV,
-               "columns": list(PROFILE_COLUMNS),
-               "rows": rows}
-    if config.format == "csv":
-        _write_csv(out / "electron_profile.csv", PROFILE_COLUMNS, rows, config)
-    _write_json(out / "electron_profile.json", payload)
+    _write_table(out, "electron_profile", PROFILE_COLUMNS, rows, config,
+                 wavelength=electron.wavelength, nu=electron.nu, E0=electron.E0,
+                 H0=electron.H0, cohesive_potential_ev=COHESIVE_POTENTIAL_EV)
     print(f"electron profile: {len(rows)} samples, wavelength = {_fmt(electron.wavelength)}")
     return 0
 
 
 def _run_epr(config: RunConfig, out: Path) -> int:
+    """correlation curve, CHSH report, singles sampling"""
     p = config.params
     mode = p["epr.mode"]
     delta = math.radians(p["epr.delta_deg"])
@@ -115,10 +121,11 @@ def _run_epr(config: RunConfig, out: Path) -> int:
     if mode == "curve":
         phi1 = math.radians(p["epr.phi1_deg"])
         step = p["epr.step_deg"]
-        if step <= 0.0:
-            raise ConfigError(f"epr.step_deg must be positive, got {step}")
-        rows = []
+        if not 360.0 / _MAX_ROWS <= step < 720.0:   # 1 to _MAX_ROWS settings
+            raise ConfigError(
+                f"epr.step_deg must lie in [{360.0 / _MAX_ROWS}, 720), got {step}")
         count = int(round(360.0 / step))
+        rows = []
         for i in range(count):
             phi_deg = i * step
             pair = epr_model.AnalyzerPair(phi1, phi1 + math.radians(phi_deg), delta)
@@ -130,18 +137,15 @@ def _run_epr(config: RunConfig, out: Path) -> int:
     if mode == "chsh":
         degs = p["epr.angles_deg"]
         settings = epr_model.ChshSettings(*(math.radians(d) for d in degs))
-        pairs = [(settings.phi1, settings.phi2), (settings.phi1, settings.phi2p),
-                 (settings.phi1p, settings.phi2), (settings.phi1p, settings.phi2p)]
-        e_matrix = [
-            [epr_model.expectation(epr_model.AnalyzerPair(a, b, delta)) for a, b in pairs[:2]],
-            [epr_model.expectation(epr_model.AnalyzerPair(a, b, delta)) for a, b in pairs[2:]],
-        ]
+        e_matrix = [[epr_model.expectation(epr_model.AnalyzerPair(a, b, delta))
+                     for b in (settings.phi2, settings.phi2p)]
+                    for a in (settings.phi1, settings.phi1p)]
         s = epr_model.chsh_sum(settings, delta)
         payload = {**_meta(config),
                    "settings_deg": list(degs),
                    "E_matrix": e_matrix,
                    "S": s}
-        _write_json(out / "epr_chsh.json", payload)
+        _write(out / "epr_chsh.json", _json_text(payload))
         print(f"CHSH sum S = {_fmt(s)}")
         return 0
 
@@ -157,12 +161,13 @@ def _run_epr(config: RunConfig, out: Path) -> int:
                "hits": hits,
                "rate": rate,
                "stderr": stderr}
-    _write_json(out / "epr_singles.json", payload)
+    _write(out / "epr_singles.json", _json_text(payload))
     print(f"singles rate = {_fmt(rate)} ({hits}/{n})")
     return 0
 
 
 def _run_sterngerlach(config: RunConfig, out: Path) -> int:
+    """spin trajectory in a ramping field"""
     p = config.params
     duration = p["sterngerlach.duration"]
     rate = p["sterngerlach.brate"]
@@ -174,9 +179,13 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
         ramp = spin_dynamics.cosine_ramp(rate * duration, duration, b_dir)
     params = spin_dynamics.LLParams(
         kappa=p["sterngerlach.kappa"], u=p["sterngerlach.u"], dt=p["sterngerlach.dt"])
+    every = p["sterngerlach.record_every"]
+    # the initial sample plus one per `every` steps; integrate rejects every < 1
+    if 1 + duration / params.dt / max(every, 1) > _MAX_ROWS:
+        raise ConfigError("sterngerlach.duration / sterngerlach.dt / sterngerlach.record_every"
+                          f" would record more than {_MAX_ROWS} rows")
     state0 = spin_dynamics.SpinState.from_vector(p["sterngerlach.es0"])
-    trajectory = spin_dynamics.integrate(
-        state0, ramp, params, record_every=p["sterngerlach.record_every"])
+    trajectory = spin_dynamics.integrate(state0, ramp, params, record_every=every)
 
     rows = []
     for t, state in trajectory:
@@ -201,12 +210,13 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
                "final": {"t": trajectory[-1][0],
                          "e_s": list(final.e_s),
                          "dot_B": rows[-1]["dot_B"]}}
-    _write_json(out / "sterngerlach_summary.json", payload)
+    _write(out / "sterngerlach_summary.json", _json_text(payload))
     print(f"deflection: {label} (e_s . B = {_fmt(rows[-1]['dot_B'])})")
     return 0
 
 
 def _run_budget(config: RunConfig, out: Path) -> int:
+    """measurement uncertainty budget"""
     p = config.params
     budget = budget_report(
         band_energy_ev=p["budget.band_energy_mev"] / 1000.0,
@@ -219,7 +229,7 @@ def _run_budget(config: RunConfig, out: Path) -> int:
     width = max(len(k) for k in fields)
     for key, value in fields.items():
         print(f"{key:<{width}}  {_fmt(value)}")
-    _write_json(out / "budget.json", {**_meta(config), "budget": fields})
+    _write(out / "budget.json", _json_text({**_meta(config), "budget": fields}))
     return 0
 
 
@@ -233,124 +243,67 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Dispatch one resolved configuration and write its artifacts."""
-    return _RUNNERS[config.subcommand](config, _out_dir(config))
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return _RUNNERS[config.subcommand](config, out)
 
 
-# argparse dest -> (config key, flag name); one table per subcommand
-_FLAG_MAPS = {
-    "electron": {
-        "rho0": "electron.rho0", "u": "electron.u", "helicity": "electron.helicity",
-        "zmin": "electron.zmin", "zmax": "electron.zmax", "points": "electron.points",
-        "t": "electron.t", "units": "electron.units", "field_split": "electron.field_split",
-    },
-    "epr": {
-        "mode": "epr.mode", "angles": "epr.angles_deg", "angle": "epr.angle_deg",
-        "n": "epr.n", "phi1_deg": "epr.phi1_deg", "delta_deg": "epr.delta_deg",
-        "step_deg": "epr.step_deg", "workers": "epr.workers",
-    },
-    "sterngerlach": {
-        "kappa": "sterngerlach.kappa", "u": "sterngerlach.u", "bdir": "sterngerlach.bdir",
-        "brate": "sterngerlach.brate", "duration": "sterngerlach.duration",
-        "dt": "sterngerlach.dt", "ramp": "sterngerlach.ramp", "es0": "sterngerlach.es0",
-        "threshold": "sterngerlach.threshold", "record_every": "sterngerlach.record_every",
-    },
-    "budget": {
-        "band_energy_mev": "budget.band_energy_mev", "resolution_pm": "budget.resolution_pm",
-        "feature_pm": "budget.feature_pm", "error_pm": "budget.error_pm",
-        "convention": "budget.convention",
-    },
-}
+# The exceptions to the rule that key <subcommand>.<name> is the flag
+# --<name>: a shorter spelling, or None for one exclusive switch per choice.
+_FLAG_EXCEPTIONS = {"epr.angles_deg": "--angles", "epr.angle_deg": "--angle", "epr.mode": None}
+
+
+def _add_flag(parser: argparse.ArgumentParser, opt: Option):
+    """One registry key as a flag whose dest is the key itself."""
+    flag = _FLAG_EXCEPTIONS.get(opt.key, "--" + opt.key.rpartition(".")[2].replace("_", "-"))
+    if flag is None:
+        group = parser.add_mutually_exclusive_group()
+        for choice in opt.choices:
+            group.add_argument(f"--{choice}", dest=opt.key, action="store_const",
+                               const=choice, help=f"{opt.key} = {choice}")
+        return
+    # no type or choices here: the value stays a string for parse_config
+    metavar = ("{%s}" % ",".join(map(str, opt.choices)) if opt.choices
+               else flag[2:].upper().replace("-", "_"))
+    parser.add_argument(flag, dest=opt.key, metavar=metavar, help=opt.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse front end, generated from `config.REGISTRY`."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument("--config", default=None, help="key = value config file")
+    for opt in REGISTRY.values():
+        if "." not in opt.key and opt.key != "subcommand":
+            _add_flag(common, opt)
+    common.add_argument("--config", help="key = value config file")
 
     parser = argparse.ArgumentParser(
         prog="electronlab",
         description="Batch runner for the extended-electron laboratory.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    electron = sub.add_parser("electron", parents=[common],
-                              help="density/energy/wavefunction profiles")
-    electron.add_argument("--rho0", type=float)
-    electron.add_argument("--u", type=float)
-    electron.add_argument("--helicity", choices=("+", "-"))
-    electron.add_argument("--zmin", type=float)
-    electron.add_argument("--zmax", type=float)
-    electron.add_argument("--points", type=int)
-    electron.add_argument("--t", type=float)
-    electron.add_argument("--units", choices=("atomic", "si"))
-    electron.add_argument("--field-split", dest="field_split", type=float)
-
-    epr = sub.add_parser("epr", parents=[common],
-                         help="correlation curve, CHSH report, singles sampling")
-    group = epr.add_mutually_exclusive_group()
-    group.add_argument("--curve", dest="mode", action="store_const", const="curve")
-    group.add_argument("--chsh", dest="mode", action="store_const", const="chsh")
-    group.add_argument("--singles", dest="mode", action="store_const", const="singles")
-    epr.add_argument("--angles", help="phi1,phi1',phi2,phi2' in degrees")
-    epr.add_argument("--angle", type=float, help="singles analyzer angle in degrees")
-    epr.add_argument("--n", type=int, help="Monte Carlo trials")
-    epr.add_argument("--phi1-deg", dest="phi1_deg", type=float)
-    epr.add_argument("--delta-deg", dest="delta_deg", type=float)
-    epr.add_argument("--step-deg", dest="step_deg", type=float)
-    epr.add_argument("--workers", type=int)
-
-    sg = sub.add_parser("sterngerlach", parents=[common],
-                        help="spin trajectory in a ramping field")
-    sg.add_argument("--kappa", type=float)
-    sg.add_argument("--u", help="velocity vector ux,uy,uz")
-    sg.add_argument("--bdir", help="field direction x,y,z")
-    sg.add_argument("--brate", type=float, help="ramp rate dB/dt")
-    sg.add_argument("--duration", type=float)
-    sg.add_argument("--dt", type=float)
-    sg.add_argument("--ramp", choices=("linear", "cosine"))
-    sg.add_argument("--es0", help="initial spin direction x,y,z")
-    sg.add_argument("--threshold", type=float)
-    sg.add_argument("--record-every", dest="record_every", type=int)
-
-    budget = sub.add_parser("budget", parents=[common],
-                            help="measurement uncertainty budget")
-    budget.add_argument("--band-energy-mev", dest="band_energy_mev", type=float)
-    budget.add_argument("--resolution-pm", dest="resolution_pm", type=float)
-    budget.add_argument("--feature-pm", dest="feature_pm", type=float)
-    budget.add_argument("--error-pm", dest="error_pm", type=float)
-    budget.add_argument("--convention", type=float, choices=(0.5, 1.0))
-
+    for name, runner in _RUNNERS.items():
+        subparser = sub.add_parser(name, parents=[common], help=runner.__doc__)
+        for opt in REGISTRY.values():
+            if opt.key.startswith(name + "."):
+                _add_flag(subparser, opt)
     return parser
 
 
 def _collect_overrides(args: argparse.Namespace) -> list[str]:
-    overrides = [f"subcommand={args.subcommand}"]
-    for dest, key in (("seed", "seed"), ("out", "out"), ("format", "format")):
-        value = getattr(args, dest)
-        if value is not None:
-            overrides.append(f"{key}={value}")
-    for dest, key in _FLAG_MAPS[args.subcommand].items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides.append(f"{key}={value}")
-    return overrides
+    return [f"{key}={value}" for key, value in vars(args).items()
+            if key != "config" and value is not None]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         file_text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
-        config = parse_config(file_text, _collect_overrides(args))
-        return run(config)
-    except ElectronLabError as exc:
+        return run(parse_config(file_text, _collect_overrides(args)))
+    except (ElectronLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
+    except ArithmeticError as exc:
+        print(f"error: out of double-precision range: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

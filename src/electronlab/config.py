@@ -21,7 +21,7 @@ SUBCOMMANDS = ("electron", "epr", "sterngerlach", "budget")
 @dataclass(frozen=True)
 class Option:
     key: str
-    kind: str                      # int | float | str | vec3 | angles4
+    kind: str                      # int | float | str | vec3 | angles4; floats finite
     default: Any
     choices: tuple | None = None
     help: str = ""
@@ -76,6 +76,8 @@ _OPTIONS = [
 
 REGISTRY = {opt.key: opt for opt in _OPTIONS}
 
+_ARITY = {"vec3": 3, "angles4": 4}   # comma-separated float kinds
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -100,6 +102,13 @@ class RunConfig:
         return flat
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _parse_value(opt: Option, raw: Any, where: str) -> Any:
     if not isinstance(raw, str):
         return raw
@@ -108,19 +117,13 @@ def _parse_value(opt: Option, raw: Any, where: str) -> Any:
         if opt.kind == "int":
             value: Any = int(text)
         elif opt.kind == "float":
-            value = float(text)
+            value = _finite(text)
         elif opt.kind == "str":
             value = text
-        elif opt.kind == "vec3":
-            parts = [float(p) for p in text.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"expected 3 components, got {len(parts)}")
-            value = tuple(parts)
-        elif opt.kind == "angles4":
-            parts = [float(p) for p in text.split(",")]
-            if len(parts) != 4:
-                raise ValueError(f"expected 4 angles, got {len(parts)}")
-            value = tuple(parts)
+        elif opt.kind in _ARITY:
+            value = tuple(_finite(part) for part in text.split(","))
+            if len(value) != _ARITY[opt.kind]:
+                raise ValueError(f"expected {_ARITY[opt.kind]} values, got {len(value)}")
         else:  # pragma: no cover - registry is static
             raise ValueError(f"unknown kind {opt.kind}")
     except ValueError as exc:

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-GRADES = (0, 1, 2, 3)
-
 _UNIT_TOL = 1e-12
 
 

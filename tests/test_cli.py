@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from electronlab import cli
 from electronlab.cli import main
+from electronlab.config import REGISTRY
 from electronlab.electron_model import PlaneWaveElectron
 
 
@@ -190,3 +192,93 @@ class TestErrorSurfacing:
         code = main(["epr", "--config", str(config), "--out", str(tmp_path)])
         assert code == 1
         assert "epr.phase" in capsys.readouterr().err
+
+
+# Every registry key, spelled as a user types it, with a non-default value.
+FLAG_CASES = {
+    "subcommand": (["budget"], "budget"),
+    "seed": (["budget", "--seed", "7"], 7),
+    "out": (["budget", "--out", "elsewhere"], "elsewhere"),
+    "format": (["budget", "--format", "json"], "json"),
+    "electron.rho0": (["electron", "--rho0", "2.5"], 2.5),
+    "electron.u": (["electron", "--u", "0.5"], 0.5),
+    "electron.helicity": (["electron", "--helicity", "-"], "-"),
+    "electron.zmin": (["electron", "--zmin", "1.5"], 1.5),
+    "electron.zmax": (["electron", "--zmax", "9"], 9.0),
+    "electron.points": (["electron", "--points", "17"], 17),
+    "electron.t": (["electron", "--t", "0.25"], 0.25),
+    "electron.units": (["electron", "--units", "si"], "si"),
+    "electron.field_split": (["electron", "--field-split", "0.25"], 0.25),
+    "epr.mode": (["epr", "--chsh"], "chsh"),
+    "epr.phi1_deg": (["epr", "--phi1-deg", "30"], 30.0),
+    "epr.delta_deg": (["epr", "--delta-deg", "45"], 45.0),
+    "epr.step_deg": (["epr", "--step-deg", "5"], 5.0),
+    "epr.angles_deg": (["epr", "--angles", "0,90,45,135"], (0.0, 90.0, 45.0, 135.0)),
+    "epr.angle_deg": (["epr", "--angle", "30"], 30.0),
+    "epr.n": (["epr", "--n", "1000"], 1000),
+    "epr.workers": (["epr", "--workers", "4"], 4),
+    "sterngerlach.kappa": (["sterngerlach", "--kappa", "2.5"], 2.5),
+    "sterngerlach.u": (["sterngerlach", "--u", "1,0,0"], (1.0, 0.0, 0.0)),
+    "sterngerlach.bdir": (["sterngerlach", "--bdir", "0,1,0"], (0.0, 1.0, 0.0)),
+    "sterngerlach.brate": (["sterngerlach", "--brate", "3"], 3.0),
+    "sterngerlach.duration": (["sterngerlach", "--duration", "2"], 2.0),
+    "sterngerlach.dt": (["sterngerlach", "--dt", "1e-4"], 1e-4),
+    "sterngerlach.ramp": (["sterngerlach", "--ramp", "cosine"], "cosine"),
+    "sterngerlach.es0": (["sterngerlach", "--es0", "1,0,0"], (1.0, 0.0, 0.0)),
+    "sterngerlach.threshold": (["sterngerlach", "--threshold", "0.9"], 0.9),
+    "sterngerlach.record_every": (["sterngerlach", "--record-every", "10"], 10),
+    "budget.band_energy_mev": (["budget", "--band-energy-mev", "100"], 100.0),
+    "budget.resolution_pm": (["budget", "--resolution-pm", "10"], 10.0),
+    "budget.feature_pm": (["budget", "--feature-pm", "40"], 40.0),
+    "budget.error_pm": (["budget", "--error-pm", "0.5"], 0.5),
+    "budget.convention": (["budget", "--convention", "1"], 1.0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_flag_sets_its_key(key, monkeypatch):
+    argv, expected = FLAG_CASES[key]
+    assert expected != REGISTRY[key].default
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    assert main(argv) == 0
+    assert seen[0].resolved()[key] == expected
+
+
+REJECTED = [
+    # bad values: parse_config, not argparse, checks types and choices
+    (["electron", "--rho0", "abc"], "electron.rho0"),
+    (["electron", "--points", "1.5"], "electron.points"),
+    (["budget", "--convention", "0.7"], "budget.convention"),
+    # non-finite inputs
+    (["electron", "--rho0", "nan"], "electron.rho0"),
+    (["budget", "--band-energy-mev", "nan"], "budget.band_energy_mev"),
+    (["epr", "--chsh", "--angles", "nan,45,22.5,67.5"], "epr.angles_deg"),
+    (["sterngerlach", "--u", "nan,0,1"], "sterngerlach.u"),
+    (["sterngerlach", "--u", "inf,0,1"], "sterngerlach.u"),
+    (["sterngerlach", "--dt", "nan"], "sterngerlach.dt"),
+    (["sterngerlach", "--duration", "inf"], "sterngerlach.duration"),
+    # finite inputs whose results overflow
+    (["sterngerlach", "--kappa", "1e308", "--brate", "1e308"], "non-finite"),
+    (["electron", "--rho0", "1e300", "--u", "1e300", "--points", "2"], "range"),
+    # the row cap, checked before any row is built
+    (["electron", "--points", "1000001"], "electron.points"),
+    (["epr", "--curve", "--step-deg", "1e-300"], "epr.step_deg"),
+    (["epr", "--curve", "--step-deg", "1000"], "epr.step_deg"),
+    (["sterngerlach", "--dt", "1e-7"], "sterngerlach.dt"),
+]
+
+
+@pytest.mark.parametrize("argv, fragment", REJECTED, ids=[" ".join(a) for a, _ in REJECTED])
+def test_rejected_input_exits_1_with_one_error_line(argv, fragment, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert fragment in err[0]
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+def test_unknown_flag_is_argparse_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["electron", "--bogus", "1"])
+    assert exc.value.code == 2
