@@ -98,7 +98,10 @@ class PlaneWaveElectron:
     def phase(self, z: float, t: float) -> float:
         """Travelling phase 2*pi*z/wavelength - 2*pi*nu*t."""
         self._require_motion()
-        return 2.0 * math.pi * z / self.wavelength - 2.0 * math.pi * self.nu * t
+        theta = 2.0 * math.pi * z / self.wavelength - 2.0 * math.pi * self.nu * t
+        if not math.isfinite(2.0 * theta):  # the densities take cos(2 * phase)
+            raise DomainError(f"the phase at z = {z!r}, t = {t!r} exceeds double precision")
+        return theta
 
     def density(self, z: float, t: float) -> float:
         """Mass density (rho0/2)*(1 + cos(2*phase)); ranges over [0, rho0]."""

@@ -1,16 +1,15 @@
 """Spin-direction precession in a ramping magnetic field.
 
-The direction e_s obeys de_s/dt = kappa * e_s x (u x dB/dt), a torque
-built from the electron velocity and the ramp rate of the field. The
-right-hand side is orthogonal to e_s, so the exact flow keeps the
-direction on the unit sphere; the integrator is classical fixed-step
-RK4 with a renormalization after every step.
+The direction e_s obeys de_s/dt = kappa * e_s x (u x dB/dt). Every ramp
+keeps dB/dt = rate * shape(t) * b_dir along one direction, so with
+constant u the right-hand side is shape(t) * (e_s x w) about the fixed
+precession vector w = kappa * (u x rate * b_dir). It is orthogonal to
+e_s, so the exact flow stays on the unit sphere; the integrator is
+classical fixed-step RK4 with a renormalization after every step.
 
-With constant u and constant dB/dt the motion is a plain precession
-about the fixed axis u x dB/dt. Nothing in the equation itself drives
-e_s to settle parallel or antiparallel to B, so `classify_deflection`
-reports the projection onto the field axis at the end of the ramp
-instead of asserting alignment.
+Nothing in the equation drives e_s to settle parallel or antiparallel
+to B, so `classify_deflection` reports the projection onto the field
+axis at the end of the ramp instead of asserting alignment.
 """
 
 from __future__ import annotations
@@ -36,48 +35,34 @@ def _cross(a: Vec3, b: Vec3) -> Vec3:
             a[0] * b[1] - a[1] * b[0])
 
 
-def _dot(a: Vec3, b: Vec3) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def _norm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
 @dataclass(frozen=True)
 class SpinState:
-    """Unit spin direction plus a magnitude carried along unchanged."""
+    """Unit spin direction."""
 
     e_s: Vec3
-    s_mag: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "e_s", tuple(float(c) for c in self.e_s))
         if abs(_norm(self.e_s) - 1.0) > 1e-9:
             raise DomainError(f"spin direction must be unit length, |e_s| = {_norm(self.e_s)!r}")
-        if self.s_mag < 0.0:
-            raise DomainError(f"spin magnitude must be non-negative, got {self.s_mag!r}")
 
     @classmethod
-    def from_vector(cls, v: Sequence[float], s_mag: float = 1.0) -> "SpinState":
-        n = _norm(tuple(v))
-        if n == 0.0:
-            raise DomainError("cannot normalize a zero spin vector")
-        return cls(e_s=(v[0] / n, v[1] / n, v[2] / n), s_mag=s_mag)
+    def from_vector(cls, v: Sequence[float]) -> "SpinState":
+        return cls(e_s=_unit(v, "spin vector"))
 
 
 @dataclass(frozen=True)
 class FieldRamp:
-    """Ramping field: unit direction, dB/dt as a function of time, duration.
-
-    `constant_rate` may carry a precomputed dB/dt vector for ramps whose
-    rate does not vary; the integrator then skips per-stage callbacks.
-    """
+    """dB/dt = rate * shape(t) * b_dir over [0, duration], b_dir a unit vector."""
 
     b_dir: Vec3
-    b_rate: Callable[[float], Vec3]
+    rate: float
     duration: float
-    constant_rate: Vec3 | None = None
+    shape: Callable[[float], float]
 
     def __post_init__(self):
         object.__setattr__(self, "b_dir", tuple(float(c) for c in self.b_dir))
@@ -86,13 +71,15 @@ class FieldRamp:
         if self.duration <= 0.0:
             raise DomainError(f"duration must be positive, got {self.duration!r}")
 
+    def b_rate(self, t: float) -> Vec3:
+        """dB/dt at time t."""
+        r = self.rate * self.shape(t)
+        return (r * self.b_dir[0], r * self.b_dir[1], r * self.b_dir[2])
+
 
 def linear_ramp(rate: float, duration: float, b_dir: Sequence[float]) -> FieldRamp:
     """Constant dB/dt = rate * b_dir over [0, duration]."""
-    direction = _unit(b_dir)
-    vec = (rate * direction[0], rate * direction[1], rate * direction[2])
-    return FieldRamp(b_dir=direction, b_rate=lambda t: vec, duration=duration,
-                     constant_rate=vec)
+    return FieldRamp(_unit(b_dir), rate, duration, lambda t: 1.0)
 
 
 def cosine_ramp(b_total: float, duration: float, b_dir: Sequence[float]) -> FieldRamp:
@@ -101,20 +88,14 @@ def cosine_ramp(b_total: float, duration: float, b_dir: Sequence[float]) -> Fiel
     B(t) = b_total * (1 - cos(pi t / duration)) / 2, so the rate starts
     and ends at zero.
     """
-    direction = _unit(b_dir)
-    peak = b_total * math.pi / (2.0 * duration)
-
-    def rate(t: float) -> Vec3:
-        r = peak * math.sin(math.pi * t / duration)
-        return (r * direction[0], r * direction[1], r * direction[2])
-
-    return FieldRamp(b_dir=direction, b_rate=rate, duration=duration)
+    return FieldRamp(_unit(b_dir), b_total * math.pi / (2.0 * duration), duration,
+                     lambda t: math.sin(math.pi * t / duration))
 
 
-def _unit(v: Sequence[float]) -> Vec3:
+def _unit(v: Sequence[float], name: str = "direction vector") -> Vec3:
     n = _norm(tuple(v))
     if n == 0.0:
-        raise DomainError("direction vector must be nonzero")
+        raise DomainError(f"{name} must be nonzero")
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
@@ -134,11 +115,15 @@ class LLParams:
             raise DomainError(f"kappa must be finite, got {self.kappa!r}")
 
 
+def _precession(params: LLParams, dbdt: Sequence[float]) -> Vec3:
+    """Precession vector w = kappa * (u x dB/dt), so that de_s/dt = e_s x w."""
+    w = _cross(params.u, tuple(dbdt))
+    return (params.kappa * w[0], params.kappa * w[1], params.kappa * w[2])
+
+
 def ll_rhs(state: SpinState, params: LLParams, dbdt: Sequence[float]) -> Vec3:
     """kappa * e_s x (u x dB/dt); always orthogonal to e_s."""
-    inner = _cross(params.u, tuple(dbdt))
-    torque = _cross(state.e_s, inner)
-    return (params.kappa * torque[0], params.kappa * torque[1], params.kappa * torque[2])
+    return _cross(state.e_s, _precession(params, dbdt))
 
 
 def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
@@ -159,51 +144,35 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
         raise ConfigError(f"{steps} steps exceed the {_MAX_STEPS} step guard")
     h = ramp.duration / steps
 
-    kappa = params.kappa
-    u = params.u
+    b, rate, shape = ramp.b_dir, ramp.rate, ramp.shape
+    wx, wy, wz = _precession(params, (rate * b[0], rate * b[1], rate * b[2]))
     ex, ey, ez = state0.e_s
+    sixth = h / 6.0
     out: list[tuple[float, SpinState]] = [(0.0, state0)]
-
-    const = ramp.constant_rate
-    if const is not None:
-        w = _cross(u, const)
-        wx, wy, wz = kappa * w[0], kappa * w[1], kappa * w[2]
 
     for k in range(steps):
         t0 = k * h
-        if const is None:
-            r1 = ramp.b_rate(t0)
-            r2 = ramp.b_rate(t0 + 0.5 * h)
-            r3 = ramp.b_rate(t0 + h)
-            w1 = _cross(u, r1)
-            w2 = _cross(u, r2)
-            w3 = _cross(u, r3)
-            w1 = (kappa * w1[0], kappa * w1[1], kappa * w1[2])
-            w2 = (kappa * w2[0], kappa * w2[1], kappa * w2[2])
-            w3 = (kappa * w3[0], kappa * w3[1], kappa * w3[2])
-        else:
-            w1 = w2 = w3 = (wx, wy, wz)
+        g1, g2, g3 = shape(t0), shape(t0 + 0.5 * h), shape(t0 + h)
 
-        k1x = ey * w1[2] - ez * w1[1]
-        k1y = ez * w1[0] - ex * w1[2]
-        k1z = ex * w1[1] - ey * w1[0]
+        k1x = g1 * (ey * wz - ez * wy)
+        k1y = g1 * (ez * wx - ex * wz)
+        k1z = g1 * (ex * wy - ey * wx)
 
         ax, ay, az = ex + 0.5 * h * k1x, ey + 0.5 * h * k1y, ez + 0.5 * h * k1z
-        k2x = ay * w2[2] - az * w2[1]
-        k2y = az * w2[0] - ax * w2[2]
-        k2z = ax * w2[1] - ay * w2[0]
+        k2x = g2 * (ay * wz - az * wy)
+        k2y = g2 * (az * wx - ax * wz)
+        k2z = g2 * (ax * wy - ay * wx)
 
         ax, ay, az = ex + 0.5 * h * k2x, ey + 0.5 * h * k2y, ez + 0.5 * h * k2z
-        k3x = ay * w2[2] - az * w2[1]
-        k3y = az * w2[0] - ax * w2[2]
-        k3z = ax * w2[1] - ay * w2[0]
+        k3x = g2 * (ay * wz - az * wy)
+        k3y = g2 * (az * wx - ax * wz)
+        k3z = g2 * (ax * wy - ay * wx)
 
         ax, ay, az = ex + h * k3x, ey + h * k3y, ez + h * k3z
-        k4x = ay * w3[2] - az * w3[1]
-        k4y = az * w3[0] - ax * w3[2]
-        k4z = ax * w3[1] - ay * w3[0]
+        k4x = g3 * (ay * wz - az * wy)
+        k4y = g3 * (az * wx - ax * wz)
+        k4z = g3 * (ax * wy - ay * wx)
 
-        sixth = h / 6.0
         ex += sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         ey += sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         ez += sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
@@ -215,7 +184,7 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
 
         if (k + 1) % record_every == 0 or k + 1 == steps:
             t = ramp.duration if k + 1 == steps else (k + 1) * h
-            out.append((t, SpinState(e_s=(ex, ey, ez), s_mag=state0.s_mag)))
+            out.append((t, SpinState(e_s=(ex, ey, ez))))
 
     return out
 
@@ -224,7 +193,7 @@ def classify_deflection(final: SpinState, b_dir: Sequence[float], threshold: flo
     """Sign of the deflection a field gradient would impose on this spin."""
     if not 0.0 < threshold < 1.0:
         raise DomainError(f"threshold must lie in (0, 1), got {threshold!r}")
-    alignment = _dot(final.e_s, _unit(b_dir))
+    alignment = sum(a * b for a, b in zip(final.e_s, _unit(b_dir)))
     if alignment > threshold:
         return PARALLEL
     if alignment < -threshold:

@@ -1,9 +1,16 @@
 """End-to-end CLI runs: artifacts, contracts, error surfacing."""
 
+import contextlib
+import io
 import json
 import math
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from electronlab import cli
 from electronlab.cli import main
@@ -261,6 +268,8 @@ REJECTED = [
     # finite inputs whose results overflow
     (["sterngerlach", "--kappa", "1e308", "--brate", "1e308"], "non-finite"),
     (["electron", "--rho0", "1e300", "--u", "1e300", "--points", "2"], "range"),
+    (["electron", "--zmax", "1e308", "--points", "3"], "phase"),
+    (["electron", "--t", "1e308", "--u", "1e10"], "phase"),
     # the row cap, checked before any row is built
     (["electron", "--points", "1000001"], "electron.points"),
     (["epr", "--curve", "--step-deg", "1e-300"], "epr.step_deg"),
@@ -282,3 +291,59 @@ def test_unknown_flag_is_argparse_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["electron", "--bogus", "1"])
     assert exc.value.code == 2
+
+
+# Finite floats weighted toward the ends of the double range, as flag text.
+_MAX = sys.float_info.max
+EXTREME = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, -1.0, 1e15, -1e15, 1e300,
+                           1e307, -1e307, 1e308, -1e308, _MAX, -_MAX]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+NUM = EXTREME.map(repr)
+VEC3 = st.tuples(NUM, NUM, NUM).map(",".join)
+
+
+def _flags(**flags):
+    """argv strategy: each flag is drawn or left at its default."""
+    return st.fixed_dictionaries({}, optional=flags).map(
+        lambda drawn: [f"--{name.replace('_', '-')}={text}" for name, text in drawn.items()])
+
+
+def _concat(*argv_parts):
+    return st.tuples(*argv_parts).map(lambda parts: [arg for part in parts for arg in part])
+
+
+FUZZ_RUNS = {
+    # a window with zmin < zmax and few points, so that most draws reach the profile
+    "electron": _concat(
+        st.integers(1, 5).map(lambda n: [f"--points={n}"]),
+        st.lists(EXTREME, min_size=2, max_size=2, unique=True).map(
+            lambda z: [f"--zmin={min(z)!r}", f"--zmax={max(z)!r}"]),
+        _flags(rho0=NUM, u=NUM, t=NUM, field_split=NUM)),
+    "budget": _flags(band_energy_mev=NUM, resolution_pm=NUM, feature_pm=NUM, error_pm=NUM),
+    "epr --chsh": _flags(delta_deg=NUM, angles=st.tuples(NUM, NUM, NUM, NUM).map(",".join)),
+}
+for _ramp in ("linear", "cosine"):
+    FUZZ_RUNS[f"sterngerlach --duration=1 --dt=0.01 --ramp={_ramp}"] = _flags(
+        kappa=NUM, u=VEC3, bdir=VEC3, brate=NUM, es0=VEC3, threshold=NUM)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-RFC 8259 token {token}")
+
+
+@pytest.mark.parametrize("base", sorted(FUZZ_RUNS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_extreme_inputs_keep_the_exit_contract(base, data):
+    """Exit 0 with strict JSON artifacts, or exit 1 with one error: line."""
+    argv = base.split() + data.draw(FUZZ_RUNS[base])
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        if code == 0:
+            for path in Path(out).glob("*.json"):
+                json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        else:
+            lines = err.getvalue().splitlines()
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from electronlab import ga3
 from electronlab.errors import ConfigError, DomainError
 from electronlab.spin_dynamics import (
     ANTIPARALLEL,
@@ -176,11 +177,60 @@ class TestIntegrate:
             integrate(state0, ramp, LLParams(dt=1.0))
 
 
+def cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+# Both ramps keep dB/dt along b_dir, so de/dt = e x w * dB/dt with the fixed
+# w = kappa * (u x b_dir). The exact flow turns e about w by -|w| * (B(t) - B(0)),
+# negative because e x w = -w x e.
+ORACLE_CASES = {
+    "linear": (lambda: linear_ramp(0.8, 1.0, (1.0, 0.5, 0.0)),
+               lambda t: 0.8 * t),
+    "cosine": (lambda: cosine_ramp(0.8, 1.0, (1.0, 0.5, 0.0)),
+               lambda t: 0.8 * (1.0 - math.cos(math.pi * t)) / 2.0),
+}
+ORACLE_PARAMS = dict(kappa=1.7, u=(0.3, -0.2, 1.0))
+ORACLE_E0 = (0.3, 0.4, 0.8)
+
+
+def rotor_flow(ramp, delta_b):
+    """e(t) = R e0 R~ with R = rotor(I w_hat, -|w| * delta_b(t))."""
+    w = tuple(ORACLE_PARAMS["kappa"] * c for c in cross(ORACLE_PARAMS["u"], ramp.b_dir))
+    speed = length(w)
+    plane = ga3.pseudovector(*(c / speed for c in w))
+    e0 = ga3.vector(*SpinState.from_vector(ORACLE_E0).e_s)
+
+    def at(t):
+        v = ga3.rotor(plane, -speed * delta_b(t)).apply(e0)
+        return (v.v1, v.v2, v.v3)
+
+    return at
+
+
+def rotor_error(shape, dt):
+    """Largest distance of the recorded RK4 samples from the exact rotor flow."""
+    make_ramp, delta_b = ORACLE_CASES[shape]
+    ramp = make_ramp()
+    exact = rotor_flow(ramp, delta_b)
+    traj = integrate(SpinState.from_vector(ORACLE_E0), ramp, LLParams(dt=dt, **ORACLE_PARAMS))
+    return max(math.dist(s.e_s, exact(t)) for t, s in traj)
+
+
+class TestExactRotor:
+    @pytest.mark.parametrize("shape", sorted(ORACLE_CASES))
+    def test_rk4_matches_rotor_flow(self, shape):
+        assert rotor_error(shape, 1e-3) <= 1e-12
+
+    def test_cosine_global_error_is_fourth_order(self):
+        ratio = rotor_error("cosine", 2e-2) / rotor_error("cosine", 1e-2)
+        assert 14.0 <= ratio <= 18.0
+
+
 class TestRamps:
     def test_linear_rate_is_constant(self):
         ramp = linear_ramp(2.0, 1.0, (0.0, 0.0, 1.0))
         assert ramp.b_rate(0.0) == ramp.b_rate(0.5) == (0.0, 0.0, 2.0)
-        assert ramp.constant_rate == (0.0, 0.0, 2.0)
 
     def test_cosine_rate_starts_and_ends_at_zero(self):
         ramp = cosine_ramp(2.0, 1.0, (0.0, 0.0, 1.0))
@@ -198,7 +248,7 @@ class TestRamps:
 
     def test_ramp_validation(self):
         with pytest.raises(DomainError):
-            FieldRamp(b_dir=(1.0, 1.0, 0.0), b_rate=lambda t: (0, 0, 0), duration=1.0)
+            FieldRamp(b_dir=(1.0, 1.0, 0.0), rate=0.0, duration=1.0, shape=lambda t: 1.0)
         with pytest.raises(DomainError):
             linear_ramp(1.0, 0.0, (1.0, 0.0, 0.0))
 
