@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -283,6 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, runner in _RUNNERS.items():
         subparser = sub.add_parser(name, parents=[common], help=runner.__doc__)
+        # argparse alone reads only `-1`-shaped tokens as values; no flag
+        # starts with a digit or `.`, so `--zmin -1e3` and `--u -1,0,0` work
+        subparser._negative_number_matcher = re.compile(r"-[0-9.]")
         for opt in REGISTRY.values():
             if opt.key.startswith(name + "."):
                 _add_flag(subparser, opt)

@@ -23,13 +23,13 @@ depend on how blocks are distributed over workers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ga3
 from .errors import DomainError
 
 SIDE_A = "A"
@@ -88,17 +88,14 @@ class CoincidenceTable:
 
 
 def rotor_phase(angle: float, side: str = SIDE_A) -> complex:
-    """Analyzer rotation reduced to a unit complex phase.
+    """Analyzer rotation as a unit complex phase: exp(i angle) at side A.
 
-    Built as a rotor in the e1e2 plane; its (scalar, e1e2) pair is the
-    complex pair because e1e2 is the pseudoscalar times e3. Side A turns
-    by +angle, side B by -angle.
+    Side B turns by -angle. The phase is the (scalar, e1e2) pair of the
+    rotor exp(e1e2 * angle), since e1e2 is the pseudoscalar times e3.
     """
     if side not in SIDES:
         raise DomainError(f"side must be one of {SIDES}, got {side!r}")
-    theta = angle if side == SIDE_A else -angle
-    r = ga3.rotor(ga3.E12, -2.0 * theta)  # exp(e1e2 * theta)
-    return complex(r.s, r.b12)
+    return cmath.exp(1j * (angle if side == SIDE_A else -angle))
 
 
 def single_probability(angle: float, side: str = SIDE_A, delta: float = 0.0,

@@ -2,10 +2,14 @@
 
 A multivector packs all eight blade coefficients into one flat value:
 scalar, the three vectors e1,e2,e3, the three bivectors in cyclic order
-e2e3, e3e1, e1e2, and the pseudoscalar e1e2e3. The pseudoscalar squares
-to -1 and commutes with everything, so it doubles as the imaginary
-unit: complex phases can be read off the (s, p) pair, and rotor phases
-off the (s, b12) pair of the even subalgebra.
+e2e3, e3e1, e1e2, and the pseudoscalar i = e1e2e3. As i squares to -1,
+commutes with everything and gives i e1 = e2e3, i e2 = e3e1, i e3 = e1e2,
+this is the complex Pauli algebra: with z0 = s + i p and z_k = v_k + i b_k
+for b = (b23, b31, b12),
+
+    (z0 + z.e)(w0 + w.e) = (z0 w0 + z.w) + (z0 w + w0 z + i z x w).e
+
+Reversion conjugates all four slots; rotor phases are the (s, b12) pair.
 
 Orientation convention: rotor(e1e2, theta) turns e1 toward e2 for
 theta > 0 in a right-handed frame.
@@ -93,26 +97,20 @@ E123 = Multivector3(p=1.0)
 BASIS = (ONE, E1, E2, E3, E23, E31, E12, E123)
 
 
+def _slots(a: Multivector3) -> tuple[complex, ...]:
+    """The complex scalar z0 = s + i p, then the complex vector z_k = v_k + i b_k."""
+    return complex(a.s, a.p), complex(a.v1, a.b23), complex(a.v2, a.b31), complex(a.v3, a.b12)
+
+
 def gp(a: Multivector3, b: Multivector3) -> Multivector3:
-    """Full geometric product, expanded over the 8x8 blade table."""
-    return Multivector3(
-        s=(a.s * b.s + a.v1 * b.v1 + a.v2 * b.v2 + a.v3 * b.v3
-           - a.b23 * b.b23 - a.b31 * b.b31 - a.b12 * b.b12 - a.p * b.p),
-        v1=(a.s * b.v1 + a.v1 * b.s - a.v2 * b.b12 + a.b12 * b.v2
-            + a.v3 * b.b31 - a.b31 * b.v3 - a.b23 * b.p - a.p * b.b23),
-        v2=(a.s * b.v2 + a.v2 * b.s + a.v1 * b.b12 - a.b12 * b.v1
-            - a.v3 * b.b23 + a.b23 * b.v3 - a.b31 * b.p - a.p * b.b31),
-        v3=(a.s * b.v3 + a.v3 * b.s - a.v1 * b.b31 + a.b31 * b.v1
-            + a.v2 * b.b23 - a.b23 * b.v2 - a.b12 * b.p - a.p * b.b12),
-        b23=(a.s * b.b23 + a.b23 * b.s + a.v2 * b.v3 - a.v3 * b.v2
-             + a.v1 * b.p + a.p * b.v1 - a.b31 * b.b12 + a.b12 * b.b31),
-        b31=(a.s * b.b31 + a.b31 * b.s + a.v3 * b.v1 - a.v1 * b.v3
-             + a.v2 * b.p + a.p * b.v2 - a.b12 * b.b23 + a.b23 * b.b12),
-        b12=(a.s * b.b12 + a.b12 * b.s + a.v1 * b.v2 - a.v2 * b.v1
-             + a.v3 * b.p + a.p * b.v3 - a.b23 * b.b31 + a.b31 * b.b23),
-        p=(a.s * b.p + a.p * b.s + a.v1 * b.b23 + a.b23 * b.v1
-           + a.v2 * b.b31 + a.b31 * b.v2 + a.v3 * b.b12 + a.b12 * b.v3),
-    )
+    """Full geometric product, by the complex-vector rule above."""
+    z0, z1, z2, z3 = _slots(a)
+    w0, w1, w2, w3 = _slots(b)
+    c0 = z0 * w0 + z1 * w1 + z2 * w2 + z3 * w3
+    c1 = z0 * w1 + w0 * z1 + 1j * (z2 * w3 - z3 * w2)
+    c2 = z0 * w2 + w0 * z2 + 1j * (z3 * w1 - z1 * w3)
+    c3 = z0 * w3 + w0 * z3 + 1j * (z1 * w2 - z2 * w1)
+    return Multivector3(c0.real, c1.real, c2.real, c3.real, c1.imag, c2.imag, c3.imag, c0.imag)
 
 
 def grade(a: Multivector3, g: int) -> Multivector3:
@@ -169,9 +167,7 @@ def rotor(plane: Multivector3, angle: float) -> Rotor3:
     itself is 4pi-periodic: shifting the angle by 2pi negates it while
     leaving the sandwich action unchanged.
     """
-    off_grade = math.sqrt(plane.s**2 + plane.v1**2 + plane.v2**2
-                          + plane.v3**2 + plane.p**2)
-    if off_grade > _UNIT_TOL:
+    if math.hypot(plane.s, plane.v1, plane.v2, plane.v3, plane.p) > _UNIT_TOL:
         raise DomainError("rotor plane must be a pure bivector")
     n2 = plane.b23**2 + plane.b31**2 + plane.b12**2
     if abs(n2 - 1.0) > _UNIT_TOL:

@@ -88,6 +88,8 @@ def cosine_ramp(b_total: float, duration: float, b_dir: Sequence[float]) -> Fiel
     B(t) = b_total * (1 - cos(pi t / duration)) / 2, so the rate starts
     and ends at zero.
     """
+    if duration <= 0.0:  # checked here too, before the rate divides by it
+        raise DomainError(f"duration must be positive, got {duration!r}")
     return FieldRamp(_unit(b_dir), b_total * math.pi / (2.0 * duration), duration,
                      lambda t: math.sin(math.pi * t / duration))
 

@@ -265,6 +265,8 @@ REJECTED = [
     (["sterngerlach", "--u", "inf,0,1"], "sterngerlach.u"),
     (["sterngerlach", "--dt", "nan"], "sterngerlach.dt"),
     (["sterngerlach", "--duration", "inf"], "sterngerlach.duration"),
+    # a zero-length cosine ramp is refused as the linear one is
+    (["sterngerlach", "--duration", "0", "--ramp", "cosine"], "duration must be positive"),
     # finite inputs whose results overflow
     (["sterngerlach", "--kappa", "1e308", "--brate", "1e308"], "non-finite"),
     (["electron", "--rho0", "1e300", "--u", "1e300", "--points", "2"], "range"),
@@ -285,6 +287,25 @@ def test_rejected_input_exits_1_with_one_error_line(argv, fragment, tmp_path, ca
     assert len(err) == 1 and err[0].startswith("error:")
     assert fragment in err[0]
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+NEGATIVE_VALUES = [
+    (["electron", "--zmin", "-1e3", "--zmax", "1"], ["electron", "--zmin=-1e3", "--zmax", "1"]),
+    (["sterngerlach", "--es0", "-0.6,0.8,0"], ["sterngerlach", "--es0=-0.6,0.8,0"]),
+    (["epr", "--chsh", "--angles", "-10,45,22.5,67.5"],
+     ["epr", "--chsh", "--angles=-10,45,22.5,67.5"]),
+]
+
+
+@pytest.mark.parametrize("spaced, joined", NEGATIVE_VALUES,
+                         ids=[" ".join(a) for a, _ in NEGATIVE_VALUES])
+def test_negative_value_after_a_space_is_a_value(spaced, joined, tmp_path):
+    out = tmp_path / "out"
+    artifacts = []
+    for argv in (joined, spaced):
+        assert main(argv + ["--out", str(out)]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert artifacts[0] == artifacts[1]
 
 
 def test_unknown_flag_is_argparse_exit_2():

@@ -1,5 +1,6 @@
 """Kernel checks for the dense Cl(3,0) implementation."""
 
+import cmath
 import math
 
 import pytest
@@ -167,6 +168,36 @@ class TestRotor:
         r = rotor(plane, theta)
         x = vector(vx, vy, vz)
         assert abs(r.apply(x).norm() - x.norm()) <= 1e-12 * (x.norm() + 1.0)
+
+    @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), angles, multivectors)
+    def test_apply_matches_rodrigues(self, nx, ny, nz, theta, x):
+        """Vectors and bivectors turn by one 3x3 matrix; s and p stay."""
+        n = math.sqrt(nx * nx + ny * ny + nz * nz)
+        if n < 1e-3:
+            return
+        axis = (nx / n, ny / n, nz / n)
+        c, s = math.cos(theta), math.sin(theta)
+
+        def rodrigues(v):
+            # v cos + (axis x v) sin + axis (axis . v)(1 - cos), about the plane's dual
+            dot = sum(a * b for a, b in zip(axis, v))
+            cross = (axis[1] * v[2] - axis[2] * v[1],
+                     axis[2] * v[0] - axis[0] * v[2],
+                     axis[0] * v[1] - axis[1] * v[0])
+            return tuple(vk * c + ck * s + ak * dot * (1.0 - c)
+                         for vk, ck, ak in zip(v, cross, axis))
+
+        v1, v2, v3 = rodrigues((x.v1, x.v2, x.v3))
+        b23, b31, b12 = rodrigues((x.b23, x.b31, x.b12))
+        want = Multivector3(x.s, v1, v2, v3, b23, b31, b12, x.p)
+        got = rotor(Multivector3(b23=axis[0], b31=axis[1], b12=axis[2]), theta).apply(x)
+        assert_close(got, want, 1e-12 * (x.norm() + 1.0))
+
+    @given(st.floats(-50.0, 50.0))
+    def test_e12_rotor_pair_is_the_complex_phase(self, theta):
+        """exp(e1e2 theta) read as (s, b12) is exp(i theta): e1e2 = i e3."""
+        r = rotor(E12, -2.0 * theta)
+        assert complex(r.s, r.b12) == cmath.exp(1j * theta)
 
     def test_sandwich_preserves_grade(self):
         r = rotor(E31, 0.77)
