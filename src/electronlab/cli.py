@@ -17,6 +17,8 @@ import json
 import math
 import re
 import sys
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__, epr_model, spin_dynamics
@@ -30,10 +32,14 @@ from .uncertainty import budget_report
 # recorded trajectory samples. Checked before any loop runs, so a tiny
 # step fails at once instead of looping over rows without bound.
 _MAX_ROWS = 1_000_000
+# Most Monte Carlo trials one `epr --singles` run may draw, checked
+# before any block runs: about a minute at the ~1.8e7 trials/s of one
+# 2-core Xeon VM, where an unchecked n could run for hours.
+_MAX_TRIALS = 1_000_000_000
 
 
 def _fmt(value) -> str:
-    """Fixed 17-significant-digit float formatting; round-trip exact."""
+    """Fixed 17-significant-digit float formatting for `#` lines and stdout."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -47,13 +53,17 @@ def _meta(config: RunConfig) -> dict:
     return {"version": __version__, "config": config.resolved()}
 
 
-def _json_text(payload: dict) -> str:
-    """Strict RFC 8259 JSON: a NaN or infinity is an error, not a token."""
+def _strict_json(obj, indent=None) -> str:
+    """RFC 8259 JSON: a NaN or infinity is an error, not a token."""
     try:
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=indent, allow_nan=False)
     except ValueError:
         raise DomainError("the run produced a non-finite value; "
                           "the inputs exceed double precision") from None
+
+
+def _json_text(payload: dict) -> str:
+    return _strict_json(payload, indent=2) + "\n"
 
 
 def _write(path: Path, text: str):
@@ -61,25 +71,31 @@ def _write(path: Path, text: str):
     print(f"wrote {path}")
 
 
-def _write_csv(path: Path, columns, rows, config: RunConfig):
-    lines = [f"# version = {__version__}"]
-    for key, value in config.resolved().items():
-        lines.append(f"# {key} = {_fmt(value)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    _write(path, "\n".join(lines) + "\n")
-
-
 def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **header):
     """Tabular artifact in the configured format (CSV gets a JSON mirror).
 
-    `header` entries go into the JSON between the metadata and the
-    table. The JSON is encoded first, so a rejected run writes no file.
+    `rows` are tuples of floats in column order. `header` entries go into
+    the JSON between the metadata and the table. Both texts are built
+    before any file is written, so a rejected run writes no file.
     """
-    text = _json_text({**_meta(config), **header, "columns": list(columns), "rows": rows})
+    text = _json_text({**_meta(config), **header, "columns": list(columns), "rows": []})
+    cells = tuple(chain.from_iterable(rows))
+    if rows:
+        # json's indent=2 layout around one pass of its C encoder, which
+        # writes each float as its repr and rejects NaN and infinity;
+        # "rows" is the last key, so the text ends in `[]\n}\n`
+        tokens = _strict_json(cells)[1:-1].split(", ")
+        fields = ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
+        item = "    {\n" + fields + "\n    }"
+        body = ",\n".join([item] * len(rows)) % tuple(tokens)
+        text = text[:-len("[]\n}\n")] + "[\n" + body + "\n  ]\n}\n"
     if config.format == "csv":
-        _write_csv(out / f"{name}.csv", columns, rows, config)
+        lines = [f"# version = {__version__}"]
+        lines += [f"# {key} = {_fmt(value)}" for key, value in config.resolved().items()]
+        lines.append(",".join(columns))
+        if rows:
+            lines.append("\n".join([",".join(["%.17g"] * len(columns))] * len(rows)) % cells)
+        _write(out / f"{name}.csv", "\n".join(lines) + "\n")
     _write(out / f"{name}.json", text)
 
 
@@ -105,6 +121,7 @@ def _run_electron(config: RunConfig, out: Path) -> int:
         step = (zmax - zmin) / (points - 1)
         zs = [zmin + i * step for i in range(points)]
     rows = profile_rows(electron, zs, t=p["electron.t"])
+    rows = list(map(itemgetter(*PROFILE_COLUMNS), rows))
 
     _write_table(out, "electron_profile", PROFILE_COLUMNS, rows, config,
                  wavelength=electron.wavelength, nu=electron.nu, E0=electron.E0,
@@ -130,7 +147,7 @@ def _run_epr(config: RunConfig, out: Path) -> int:
         for i in range(count):
             phi_deg = i * step
             pair = epr_model.AnalyzerPair(phi1, phi1 + math.radians(phi_deg), delta)
-            rows.append({"phi_deg": phi_deg, "E": epr_model.expectation(pair)})
+            rows.append((phi_deg, epr_model.expectation(pair)))
         _write_table(out, "epr_curve", ("phi_deg", "E"), rows, config)
         print(f"correlation curve: {len(rows)} settings")
         return 0
@@ -152,6 +169,8 @@ def _run_epr(config: RunConfig, out: Path) -> int:
 
     # singles
     n = p["epr.n"]
+    if not 1 <= n <= _MAX_TRIALS:
+        raise ConfigError(f"epr.n must lie in [1, {_MAX_TRIALS}], got {n}")
     hits, rate = epr_model.monte_carlo_singles(
         math.radians(p["epr.angle_deg"]), side="A", delta=delta,
         n=n, seed=config.seed, workers=p["epr.workers"])
@@ -173,6 +192,10 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     duration = p["sterngerlach.duration"]
     rate = p["sterngerlach.brate"]
     b_dir = p["sterngerlach.bdir"]
+    threshold = p["sterngerlach.threshold"]
+    # classify_deflection checks it too, but only after the whole run
+    if not 0.0 < threshold < 1.0:
+        raise ConfigError(f"sterngerlach.threshold must lie in (0, 1), got {threshold}")
     if p["sterngerlach.ramp"] == "linear":
         ramp = spin_dynamics.linear_ramp(rate, duration, b_dir)
     else:
@@ -188,15 +211,14 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     state0 = spin_dynamics.SpinState.from_vector(p["sterngerlach.es0"])
     trajectory = spin_dynamics.integrate(state0, ramp, params, record_every=every)
 
+    bx, by, bz = ramp.b_dir
     rows = []
     for t, state in trajectory:
         ex, ey, ez = state.e_s
-        rows.append({"t": t, "ex": ex, "ey": ey, "ez": ez,
-                     "dot_B": ex * ramp.b_dir[0] + ey * ramp.b_dir[1] + ez * ramp.b_dir[2]})
+        rows.append((t, ex, ey, ez, ex * bx + ey * by + ez * bz))
     _write_table(out, "sterngerlach_trajectory", ("t", "ex", "ey", "ez", "dot_B"),
                  rows, config)
 
-    threshold = p["sterngerlach.threshold"]
     final = trajectory[-1][1]
     label = spin_dynamics.classify_deflection(final, ramp.b_dir, threshold)
     payload = {**_meta(config),
@@ -210,9 +232,9 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
                "threshold": threshold,
                "final": {"t": trajectory[-1][0],
                          "e_s": list(final.e_s),
-                         "dot_B": rows[-1]["dot_B"]}}
+                         "dot_B": rows[-1][4]}}
     _write(out / "sterngerlach_summary.json", _json_text(payload))
-    print(f"deflection: {label} (e_s . B = {_fmt(rows[-1]['dot_B'])})")
+    print(f"deflection: {label} (e_s . B = {_fmt(rows[-1][4])})")
     return 0
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -205,7 +206,9 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
         return int(np.count_nonzero(rng.random(size) < hit_probability))
 
     tasks = list(enumerate(_block_sizes(n)))
-    if workers == 1 or len(tasks) == 1:
+    # threads beyond the cores or the blocks would only sit idle
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers == 1:
         hits = sum(run_block(task) for task in tasks)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

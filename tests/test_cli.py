@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electronlab import cli
+from electronlab import __version__, cli
 from electronlab.cli import main
-from electronlab.config import REGISTRY
+from electronlab.config import REGISTRY, parse_config
 from electronlab.electron_model import PlaneWaveElectron
+from electronlab.errors import DomainError
 
 
 def read_json(path):
@@ -277,6 +278,10 @@ REJECTED = [
     (["epr", "--curve", "--step-deg", "1e-300"], "epr.step_deg"),
     (["epr", "--curve", "--step-deg", "1000"], "epr.step_deg"),
     (["sterngerlach", "--dt", "1e-7"], "sterngerlach.dt"),
+    # checked before the run, so no trajectory is written
+    (["sterngerlach", "--threshold", "2"], "sterngerlach.threshold"),
+    # the trial cap, checked before any Monte Carlo block runs
+    (["epr", "--singles", "--n", "1000000001"], "epr.n"),
 ]
 
 
@@ -368,3 +373,52 @@ def test_extreme_inputs_keep_the_exit_contract(base, data):
         else:
             lines = err.getvalue().splitlines()
             assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+# Float cells with the edge cases of repr and of 17-digit formatting.
+CELL = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7e308, -1.7e308])
+TABLES = st.integers(1, 8).flatmap(lambda width: st.tuples(
+    st.just(tuple(f"c{i}" for i in range(width))),
+    st.lists(st.tuples(*[CELL] * width), max_size=40)))
+
+
+def _write_table(out, columns, rows, fmt):
+    """cli._write_table into `out`; returns the config it wrote with."""
+    config = parse_config("", ["subcommand=electron", f"format={fmt}", f"out={out}"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli._write_table(Path(out), "table", columns, rows, config, wavelength=1.5)
+    return config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=TABLES)
+def test_table_writer_matches_the_json_and_csv_oracles(table):
+    """JSON as json's indent=2 encoder writes it; CSV cells as f"{v:.17g}"."""
+    columns, rows = table
+    with tempfile.TemporaryDirectory() as out:
+        config = _write_table(out, columns, rows, "csv")
+        payload = {"version": __version__, "config": config.resolved(), "wavelength": 1.5,
+                   "columns": list(columns), "rows": [dict(zip(columns, row)) for row in rows]}
+        expected_json = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        assert (Path(out) / "table.json").read_text(encoding="utf-8") == expected_json
+        lines = [f"# version = {__version__}"]
+        lines += [f"# {key} = {cli._fmt(value)}" for key, value in config.resolved().items()]
+        lines.append(",".join(columns))
+        lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+        assert (Path(out) / "table.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(table=TABLES, bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+def test_table_writer_rejects_a_non_finite_cell_before_writing(fmt, table, bad, data):
+    columns, rows = table
+    rows = rows or [(0.0,) * len(columns)]
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(columns) - 1))
+    rows[i] = rows[i][:j] + (bad,) + rows[i][j + 1:]
+    with tempfile.TemporaryDirectory() as out:
+        with pytest.raises(DomainError):
+            _write_table(out, columns, rows, fmt)
+        assert not list(Path(out).iterdir())

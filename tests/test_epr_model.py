@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from electronlab import epr_model
 from electronlab.epr_model import (
     MINUS,
     PLUS,
@@ -234,6 +235,37 @@ class TestMonteCarloSingles:
         serial = monte_carlo_singles(1.1, n=300_000, seed=9, workers=1)
         threaded = monte_carlo_singles(1.1, n=300_000, seed=9, workers=4)
         assert serial == threaded
+
+    @pytest.mark.parametrize("workers, cores, blocks, pool", [
+        (64, 8, 3, 3),      # no more threads than blocks
+        (64, 2, 3, 2),      # nor than cores
+        (2, 8, 3, 2),       # nor than asked for
+        (64, 8, 1, None),   # one block runs without a pool
+        (64, 1, 3, None),   # so does one core
+    ])
+    def test_pool_size_is_bounded_by_cores_and_blocks(self, workers, cores, blocks, pool,
+                                                      monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(epr_model, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(epr_model.os, "cpu_count", lambda: cores)
+        n = (blocks - 1) * (1 << 16) + 5
+        result = monte_carlo_singles(0.7, n=n, seed=4, workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        assert result == monte_carlo_singles(0.7, n=n, seed=4, workers=1)
 
     def test_rate_near_half_for_any_angle(self):
         n = 100_000
