@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import ga3
 from .constants import ATOMIC_UNITS, UnitSystem
-from .errors import DomainError, UnsupportedConfigurationError
+from .errors import DomainError, UnsupportedConfigurationError, positive
 
 HELICITIES = ("plus", "minus")
 
@@ -57,18 +57,16 @@ class PlaneWaveElectron:
     H0: float = field(init=False)
 
     def __post_init__(self):
-        if self.rho0 <= 0.0:
-            raise DomainError(f"rho0 must be positive, got {self.rho0!r}")
-        if self.u < 0.0:
-            raise DomainError(f"velocity must be non-negative, got {self.u!r}")
+        positive(self.rho0, "rho0")
+        if not 0.0 <= self.u < math.inf:
+            raise DomainError(f"velocity must be non-negative and finite, got {self.u!r}")
         if self.helicity not in HELICITIES:
             raise DomainError(f"helicity must be one of {HELICITIES}, got {self.helicity!r}")
         if not 0.0 < self.field_split < 1.0:
             raise DomainError(f"field_split must lie in (0, 1), got {self.field_split!r}")
         if self.mass is None:
             object.__setattr__(self, "mass", self.units.m_e)
-        if self.mass <= 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass!r}")
+        positive(self.mass, "mass")
         hbar = self.units.hbar
         if self.u == 0.0:
             object.__setattr__(self, "wavelength", math.inf)
@@ -130,15 +128,17 @@ class PlaneWaveElectron:
         magnitude = self.E0 * self.H0 * math.sin(self.phase(z, t)) ** 2
         return ga3.pseudovector(0.0, 0.0, self.helicity_sign * magnitude)
 
+    @property
+    def _field_amplitude(self) -> float:
+        """eps0*E0^2/2 + mu0*H0^2/2, the peak field energy density."""
+        return 0.5 * self.units.eps0 * self.E0**2 + 0.5 * self.units.mu0 * self.H0**2
+
     def field_energy_density(self, z: float, t: float) -> float:
-        amplitude = (0.5 * self.units.eps0 * self.E0**2
-                     + 0.5 * self.units.mu0 * self.H0**2)
-        return amplitude * math.sin(self.phase(z, t)) ** 2
+        return self._field_amplitude * math.sin(self.phase(z, t)) ** 2
 
     def total_energy(self, volume: float) -> float:
         """m*u^2/2 for an electron filling `volume` at density rho0."""
-        if volume <= 0.0:
-            raise DomainError(f"volume must be positive, got {volume!r}")
+        positive(volume, "volume")
         if abs(self.rho0 * volume - self.mass) > 1e-9 * self.mass:
             raise DomainError(
                 f"normalization rho0*volume = mass violated: "
@@ -174,8 +174,7 @@ class PlaneWaveElectron:
         derived quantities (wavelength, nu, field amplitudes) are rebuilt
         so the amplitude constraint and the dispersion stay satisfied.
         """
-        if dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {dt!r}")
+        positive(dt, "dt")
         gx, gy, gz = grad_potential
         if gx != 0.0 or gy != 0.0:
             raise DomainError("force must act along the motion axis e3 only")
@@ -191,8 +190,7 @@ class PlaneWaveElectron:
         The two densities share rho0, so the derivatives cancel up to
         discretization and roundoff.
         """
-        if dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {dt!r}")
+        positive(dt, "dt")
         ds_dt = (self.spin_density(z, t + dt) - self.spin_density(z, t - dt)) / (2.0 * dt)
         drho_dt = (self.density(z, t + dt) - self.density(z, t - dt)) / (2.0 * dt)
         return ds_dt, drho_dt
@@ -224,18 +222,28 @@ class WavefunctionSample:
 
 
 def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> list[dict]:
-    """Sample the standard profile columns over a grid of positions."""
+    """Sample the standard profile columns over a grid of positions.
+
+    One phase evaluation per point: with theta = phase(z, t) and
+    c = cos(2*theta), rho = rho0/2*(1 + c) and S = rho0/2*(1 - c), and
+    every other column follows from those and sin(theta). The per-point
+    methods (`density`, `kinetic_energy_density`, `field_energy_density`,
+    `spin_density`, `wavefunction`) are the oracle: each cell equals
+    theirs exactly.
+    """
+    e._require_quarter_phase()
+    half_rho0 = 0.5 * e.rho0
+    half_u2 = 0.5 * e.u**2
+    amplitude = e._field_amplitude
+    sign = e.helicity_sign
+    phase, cos, sin, sqrt = e.phase, math.cos, math.sin, math.sqrt
     rows = []
     for z in z_values:
-        w = e.wavefunction(z, t)
-        rows.append({
-            "z": z,
-            "t": t,
-            "rho": e.density(z, t),
-            "omega_kin": e.kinetic_energy_density(z, t),
-            "omega_field": e.field_energy_density(z, t),
-            "S": e.spin_density(z, t),
-            "psi_scalar": w.psi.s,
-            "psi_pseudo": w.psi.b12,
-        })
+        theta = phase(z, t)
+        c = cos(2.0 * theta)
+        rho = half_rho0 * (1.0 + c)
+        s = half_rho0 * (1.0 - c)
+        rows.append({"z": z, "t": t, "rho": rho, "omega_kin": half_u2 * rho,
+                     "omega_field": amplitude * sin(theta) ** 2, "S": s,
+                     "psi_scalar": sqrt(rho), "psi_pseudo": sign * sqrt(s)})
     return rows

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, positive
 
 Vec3 = tuple[float, float, float]
 
@@ -39,16 +39,19 @@ def _norm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpinState:
-    """Unit spin direction."""
+    """Unit spin direction; `integrate` builds one per recorded step."""
 
     e_s: Vec3
 
     def __post_init__(self):
-        object.__setattr__(self, "e_s", tuple(float(c) for c in self.e_s))
-        if abs(_norm(self.e_s) - 1.0) > 1e-9:
-            raise DomainError(f"spin direction must be unit length, |e_s| = {_norm(self.e_s)!r}")
+        x, y, z = self.e_s
+        x, y, z = float(x), float(y), float(z)
+        object.__setattr__(self, "e_s", (x, y, z))
+        n = math.sqrt(x * x + y * y + z * z)
+        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
+            raise DomainError(f"spin direction must be unit length, |e_s| = {n!r}")
 
     @classmethod
     def from_vector(cls, v: Sequence[float]) -> "SpinState":
@@ -66,10 +69,11 @@ class FieldRamp:
 
     def __post_init__(self):
         object.__setattr__(self, "b_dir", tuple(float(c) for c in self.b_dir))
-        if abs(_norm(self.b_dir) - 1.0) > 1e-9:
+        if not abs(_norm(self.b_dir) - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError("field direction must be unit length")
-        if self.duration <= 0.0:
-            raise DomainError(f"duration must be positive, got {self.duration!r}")
+        if not math.isfinite(self.rate):
+            raise DomainError(f"rate must be finite, got {self.rate!r}")
+        positive(self.duration, "duration")
 
     def b_rate(self, t: float) -> Vec3:
         """dB/dt at time t."""
@@ -88,8 +92,7 @@ def cosine_ramp(b_total: float, duration: float, b_dir: Sequence[float]) -> Fiel
     B(t) = b_total * (1 - cos(pi t / duration)) / 2, so the rate starts
     and ends at zero.
     """
-    if duration <= 0.0:  # checked here too, before the rate divides by it
-        raise DomainError(f"duration must be positive, got {duration!r}")
+    positive(duration, "duration")  # checked here too, before the rate divides by it
     return FieldRamp(_unit(b_dir), b_total * math.pi / (2.0 * duration), duration,
                      lambda t: math.sin(math.pi * t / duration))
 
@@ -98,6 +101,8 @@ def _unit(v: Sequence[float], name: str = "direction vector") -> Vec3:
     n = _norm(tuple(v))
     if n == 0.0:
         raise DomainError(f"{name} must be nonzero")
+    if not math.isfinite(n):
+        raise DomainError(f"{name} must have a finite length, got {n!r}")
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
@@ -111,8 +116,9 @@ class LLParams:
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(float(c) for c in self.u))
-        if self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt!r}")
+        if not all(map(math.isfinite, self.u)):
+            raise DomainError(f"velocity must be finite, got {self.u!r}")
+        positive(self.dt, "dt")
         if not math.isfinite(self.kappa):
             raise DomainError(f"kappa must be finite, got {self.kappa!r}")
 
@@ -148,6 +154,8 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
 
     b, rate, shape = ramp.b_dir, ramp.rate, ramp.shape
     wx, wy, wz = _precession(params, (rate * b[0], rate * b[1], rate * b[2]))
+    if not all(map(math.isfinite, (wx, wy, wz))):  # every state after it would be NaN
+        raise DomainError(f"precession vector kappa*(u x dB/dt) is non-finite: {(wx, wy, wz)!r}")
     ex, ey, ez = state0.e_s
     sixth = h / 6.0
     out: list[tuple[float, SpinState]] = [(0.0, state0)]

@@ -19,35 +19,30 @@ from dataclasses import asdict, dataclass
 import math
 
 from .constants import EV, HBAR, M_E, PM
-from .errors import DomainError
+from .errors import DomainError, positive
 
 DEFAULT_CONVENTION = 0.5
 
 
 def momentum_uncertainty(band_energy_ev: float, mass: float = M_E) -> float:
     """dp = sqrt(2 m dE) in kg m/s for a band energy in eV."""
-    if band_energy_ev <= 0.0:
-        raise DomainError(f"band energy must be positive, got {band_energy_ev!r}")
-    if mass <= 0.0:
-        raise DomainError(f"mass must be positive, got {mass!r}")
+    positive(band_energy_ev, "band energy")
+    positive(mass, "mass")
     return math.sqrt(2.0 * mass * band_energy_ev * EV)
 
 
 def position_uncertainty(dp: float, convention_factor: float = DEFAULT_CONVENTION) -> float:
     """dx = factor * hbar / dp, reported in picometres."""
-    if dp <= 0.0:
-        raise DomainError(f"momentum uncertainty must be positive, got {dp!r}")
-    if convention_factor <= 0.0:
-        raise DomainError(f"convention factor must be positive, got {convention_factor!r}")
+    positive(dp, "momentum uncertainty")
+    positive(convention_factor, "convention factor")
     return convention_factor * HBAR / dp / PM
 
 
 def relative_feature_error(feature_height_pm: float, height_error_pm: float) -> float:
     """Height error over feature height, dimensionless."""
-    if feature_height_pm <= 0.0:
-        raise DomainError(f"feature height must be positive, got {feature_height_pm!r}")
-    if height_error_pm < 0.0:
-        raise DomainError(f"height error must be non-negative, got {height_error_pm!r}")
+    positive(feature_height_pm, "feature height")
+    if not 0.0 <= height_error_pm < math.inf:
+        raise DomainError(f"height error must be non-negative and finite, got {height_error_pm!r}")
     return height_error_pm / feature_height_pm
 
 
@@ -58,10 +53,9 @@ def compliance_energy(target_dx_pm: float, mass: float = M_E,
     Inverts the chain: dp = factor * hbar / dx, then E = dp^2 / 2m.
     Strictly decreasing in the target.
     """
-    if target_dx_pm <= 0.0:
-        raise DomainError(f"target position uncertainty must be positive, got {target_dx_pm!r}")
-    if convention_factor <= 0.0:
-        raise DomainError(f"convention factor must be positive, got {convention_factor!r}")
+    positive(target_dx_pm, "target position uncertainty")
+    positive(mass, "mass")
+    positive(convention_factor, "convention factor")
     dp = convention_factor * HBAR / (target_dx_pm * PM)
     return dp * dp / (2.0 * mass) / EV
 
@@ -98,8 +92,7 @@ def budget_report(band_energy_ev: float = 0.08,
     The compliance energy is quoted for `compliance_target_pm`, by
     default the lateral resolution itself.
     """
-    if lateral_resolution_pm <= 0.0:
-        raise DomainError(f"lateral resolution must be positive, got {lateral_resolution_pm!r}")
+    positive(lateral_resolution_pm, "lateral resolution")
     dp = momentum_uncertainty(band_energy_ev, mass)
     dx = position_uncertainty(dp, convention_factor)
     target = lateral_resolution_pm if compliance_target_pm is None else compliance_target_pm

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from electronlab import ga3
 from electronlab.constants import ATOMIC_UNITS, SI_UNITS
 from electronlab.electron_model import (
+    HELICITIES,
     PROFILE_COLUMNS,
     PlaneWaveElectron,
     profile_rows,
@@ -62,6 +63,13 @@ class TestDerivedQuantities:
             PlaneWaveElectron(rho0=1.0, u=1.0, helicity="sideways")
         with pytest.raises(DomainError):
             PlaneWaveElectron(rho0=1.0, u=1.0, field_split=1.0)
+
+    @given(st.sampled_from(["rho0", "u", "mass"]),
+           st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_inputs_rejected(self, name, bad):
+        kwargs = {"rho0": 1.0, "u": 1.0, "mass": 1.0, name: bad}
+        with pytest.raises(DomainError):
+            PlaneWaveElectron(**kwargs)
 
 
 class TestDensity:
@@ -370,3 +378,41 @@ class TestProfileRows:
             assert row["rho"] == pytest.approx(e.density(z, 0.25), rel=1e-15)
             assert row["psi_scalar"] == pytest.approx(math.sqrt(row["rho"]), rel=1e-12)
             assert row["rho"] + row["S"] == pytest.approx(e.rho0, rel=1e-13)
+
+
+class TestProfileRowsOracle:
+    """One phase per point must give exactly what the per-point methods give."""
+
+    @given(params,
+           st.sampled_from(HELICITIES),
+           st.sampled_from([ATOMIC_UNITS, SI_UNITS]),
+           st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=20),
+           st.floats(min_value=-1e3, max_value=1e3))
+    def test_cells_equal_the_per_point_methods(self, p, helicity, units, zs, t):
+        rho0, u, split = p
+        e = PlaneWaveElectron(rho0=rho0, u=u, helicity=helicity, units=units,
+                              field_split=split)
+        rows = profile_rows(e, zs, t)
+        assert len(rows) == len(zs)
+        for row, z in zip(rows, zs):
+            psi = e.wavefunction(z, t).psi
+            assert tuple(row) == PROFILE_COLUMNS
+            assert (row["z"], row["t"]) == (z, t)
+            assert row["rho"] == e.density(z, t)
+            assert row["omega_kin"] == e.kinetic_energy_density(z, t)
+            assert row["omega_field"] == e.field_energy_density(z, t)
+            assert row["S"] == e.spin_density(z, t)
+            assert row["psi_scalar"] == psi.s
+            assert row["psi_pseudo"] == psi.b12
+
+    def test_at_rest_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            profile_rows(PlaneWaveElectron(rho0=1.0, u=0.0), [0.0, 1.0], 0.0)
+
+    def test_other_field_phase_is_unsupported(self):
+        with pytest.raises(UnsupportedConfigurationError):
+            profile_rows(PlaneWaveElectron(rho0=1.0, u=1.0, phi=0.0), [0.0, 1.0], 0.0)
+
+    def test_phase_overflow_is_a_domain_error(self, e):
+        with pytest.raises(DomainError, match="phase"):
+            profile_rows(e, [0.0, 1e308], 0.0)

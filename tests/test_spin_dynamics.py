@@ -1,9 +1,12 @@
 """Spin precession: torque expression, RK4 behaviour, classification."""
 
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from electronlab import ga3
 from electronlab.errors import ConfigError, DomainError
@@ -67,6 +70,20 @@ class TestStateValidation:
         with pytest.raises(DomainError):
             SpinState((0.0, 0.0, 2.0))
 
+    def test_rejects_nan_direction(self):
+        with pytest.raises(DomainError):
+            SpinState((math.nan, 0.0, 1.0))
+
+    def test_int_components_stored_as_floats(self):
+        s = SpinState((0, 1, 0))
+        assert s.e_s == (0.0, 1.0, 0.0)
+        assert all(type(c) is float for c in s.e_s)
+
+    def test_frozen(self):
+        s = SpinState((0.0, 0.0, 1.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.e_s = (1.0, 0.0, 0.0)
+
     def test_from_vector_normalizes(self):
         s = SpinState.from_vector((3.0, 0.0, 4.0))
         assert s.e_s == pytest.approx((0.6, 0.0, 0.8), abs=1e-15)
@@ -82,7 +99,53 @@ class TestStateValidation:
             LLParams(kappa=math.inf)
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestNonFiniteInputs:
+    @given(st.sampled_from(["dt", 0, 1, 2]), NON_FINITE)
+    def test_ll_params(self, where, bad):
+        """`where` is dt or the index of a velocity component."""
+        u, dt = [0.0, 0.0, 1.0], 1e-3
+        if where == "dt":
+            dt = bad
+        else:
+            u[where] = bad
+        with pytest.raises(DomainError):
+            LLParams(u=tuple(u), dt=dt)
+
+    @given(st.sampled_from([FieldRamp, linear_ramp, cosine_ramp]),
+           st.sampled_from(["rate", "duration"]), NON_FINITE)
+    def test_ramps(self, make, name, bad):
+        rate, duration = (bad, 1.0) if name == "rate" else (1.0, bad)
+        with pytest.raises(DomainError):
+            if make is FieldRamp:
+                FieldRamp((0.0, 0.0, 1.0), rate, duration, lambda t: 1.0)
+            else:
+                make(rate, duration, (0.0, 0.0, 1.0))
+
+    @given(st.integers(min_value=0, max_value=2), NON_FINITE)
+    def test_ramp_direction(self, i, bad):
+        b_dir = [0.0, 0.0, 1.0]
+        b_dir[i] = bad
+        with pytest.raises(DomainError):
+            linear_ramp(1.0, 1.0, b_dir)
+
+    def test_overflowing_precession_vector(self):
+        params = LLParams(kappa=1e308, u=(0.0, 0.0, 1e308), dt=0.1)
+        ramp = linear_ramp(1.0, 1.0, (1.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="non-finite"):
+            integrate(SpinState((0.0, 0.0, 1.0)), ramp, params)
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("record_every", [1, 7])
+    def test_records_are_spin_states(self, record_every):
+        ramp = cosine_ramp(2.0, 1.0, (1.0, 0.0, 0.0))
+        traj = integrate(SpinState((0.0, 0.0, 1.0)), ramp, LLParams(dt=0.01), record_every)
+        assert len(traj) == 1 + math.ceil(100 / record_every)
+        assert all(type(s) is SpinState for _, s in traj)
+
     def test_zero_ramp_constant_trajectory(self):
         state0 = SpinState.from_vector((1.0, 1.0, 0.0))
         ramp = linear_ramp(0.0, 1.0, (1.0, 0.0, 0.0))

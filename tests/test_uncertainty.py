@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from electronlab.constants import HBAR, M_E
 from electronlab.errors import DomainError
@@ -151,3 +153,24 @@ class TestBudgetReport:
         light = budget_report(mass=M_E / 4.0)
         assert light.dp_kg_m_s == pytest.approx(momentum_uncertainty(0.08) / 2.0, rel=1e-12)
         assert light.dx_pm == pytest.approx(2.0 * DX_80_MEV_HALF, rel=1e-12)
+
+
+# each public function with finite arguments it accepts, by keyword
+VALID_CALLS = [
+    (momentum_uncertainty, {"band_energy_ev": 0.08, "mass": M_E}),
+    (position_uncertainty, {"dp": DP_80_MEV, "convention_factor": 0.5}),
+    (relative_feature_error, {"feature_height_pm": 30.0, "height_error_pm": 0.1}),
+    (compliance_energy, {"target_dx_pm": 20.0, "mass": M_E, "convention_factor": 0.5}),
+    (budget_report, {"band_energy_ev": 0.08, "mass": M_E, "lateral_resolution_pm": 20.0,
+                     "feature_height_pm": 30.0, "height_error_pm": 0.1,
+                     "convention_factor": 0.5, "compliance_target_pm": 20.0}),
+]
+
+
+@given(st.sampled_from([(fn, kwargs, name) for fn, kwargs in VALID_CALLS for name in kwargs]),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_argument_rejected(call, bad):
+    fn, kwargs, name = call
+    fn(**kwargs)
+    with pytest.raises(DomainError):
+        fn(**{**kwargs, name: bad})
