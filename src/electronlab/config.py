@@ -16,6 +16,9 @@ from typing import Any, Sequence
 from .errors import ConfigError
 
 SUBCOMMANDS = ("electron", "epr", "sterngerlach", "budget")
+# Most rows one run may emit (profile points, curve settings, trajectory samples), checked
+# before any loop runs so that a tiny step fails at once instead of looping without bound.
+MAX_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -25,6 +28,7 @@ class Option:
     default: Any
     choices: tuple | None = None
     help: str = ""
+    within: str | None = None      # "[lo, hi)": a bracket includes its end, a parenthesis not
 
 
 _OPTIONS = [
@@ -40,7 +44,7 @@ _OPTIONS = [
     Option("electron.zmin", "float", 0.0),
     Option("electron.zmax", "float", 2.0 * math.pi,
            help="one wavelength at the default parameters"),
-    Option("electron.points", "int", 256),
+    Option("electron.points", "int", 256, help="profile samples", within=f"[1, {MAX_ROWS}]"),
     Option("electron.t", "float", 0.0),
     Option("electron.units", "str", "atomic", choices=("atomic", "si")),
     Option("electron.field_split", "float", 0.5,
@@ -49,11 +53,13 @@ _OPTIONS = [
     Option("epr.mode", "str", "curve", choices=("curve", "chsh", "singles")),
     Option("epr.phi1_deg", "float", 0.0, help="reference analyzer angle"),
     Option("epr.delta_deg", "float", 0.0, help="source phase difference"),
-    Option("epr.step_deg", "float", 1.0, help="curve resolution"),
+    # round(360 / step) settings, from 1 to MAX_ROWS
+    Option("epr.step_deg", "float", 1.0, help="curve resolution", within=f"[{360 / MAX_ROWS}, 720)"),
     Option("epr.angles_deg", "angles4", (0.0, 45.0, 22.5, 67.5),
            help="phi1, phi1', phi2, phi2' for the CHSH run"),
     Option("epr.angle_deg", "float", 0.0, help="analyzer angle for singles"),
-    Option("epr.n", "int", 1_000_000, help="Monte Carlo trials"),
+    # a minute or so at ~1.8e7 trials/s on a 2-core Xeon VM; an unchecked n could take hours
+    Option("epr.n", "int", 1_000_000, help="Monte Carlo trials", within="[1, 1000000000]"),
     Option("epr.workers", "int", 1),
 
     Option("sterngerlach.kappa", "float", 1.0, help="torque coupling"),
@@ -64,8 +70,8 @@ _OPTIONS = [
     Option("sterngerlach.dt", "float", 1e-3),
     Option("sterngerlach.ramp", "str", "linear", choices=("linear", "cosine")),
     Option("sterngerlach.es0", "vec3", (0.0, 0.0, 1.0), help="initial spin direction"),
-    Option("sterngerlach.threshold", "float", 0.99),
-    Option("sterngerlach.record_every", "int", 1),
+    Option("sterngerlach.threshold", "float", 0.99, help="deflection cutoff", within="(0, 1)"),
+    Option("sterngerlach.record_every", "int", 1, help="steps per record", within="[1, inf)"),
 
     Option("budget.band_energy_mev", "float", 80.0),
     Option("budget.resolution_pm", "float", 20.0),
@@ -131,6 +137,11 @@ def _parse_value(opt: Option, raw: Any, where: str) -> Any:
     if opt.choices is not None and value not in opt.choices:
         raise ConfigError(
             f"{where}: '{opt.key}' must be one of {list(opt.choices)}, got {value!r}")
+    if opt.within is not None:
+        lo, hi = map(float, opt.within[1:-1].split(","))
+        closed_end = value == lo and opt.within[0] == "[" or value == hi and opt.within[-1] == "]"
+        if not (lo < value < hi or closed_end):
+            raise ConfigError(f"{where}: '{opt.key}' must lie in {opt.within}, got {value!r}")
     return value
 
 

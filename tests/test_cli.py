@@ -282,6 +282,8 @@ REJECTED = [
     (["sterngerlach", "--threshold", "2"], "sterngerlach.threshold"),
     # the trial cap, checked before any Monte Carlo block runs
     (["epr", "--singles", "--n", "1000000001"], "epr.n"),
+    # a path the operating system refuses before opening anything
+    (["budget", "--config", "a\0b"], "embedded null byte"),
 ]
 
 
@@ -292,6 +294,29 @@ def test_rejected_input_exits_1_with_one_error_line(argv, fragment, tmp_path, ca
     assert len(err) == 1 and err[0].startswith("error:")
     assert fragment in err[0]
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["epr", "--config", "{tmp}/latin1.cfg", "--out", "{tmp}/out"], "can't decode byte 0xe9"),
+    (["budget", "--out", "{tmp}/a\0b"], "embedded null byte"),
+], ids=["config file not UTF-8", "NUL byte in --out"])
+def test_bad_config_file_or_out_path_exits_1_with_one_error_line(argv, fragment, tmp_path,
+                                                                 capsys):
+    (tmp_path / "latin1.cfg").write_bytes("epr.mode = chsh  # café\n".encode("latin-1"))
+    assert main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert fragment in err[0]
+    assert [p.name for p in tmp_path.rglob("*")] == ["latin1.cfg"]
+
+
+@pytest.mark.parametrize("key", sorted(k for k, opt in REGISTRY.items() if opt.within))
+def test_help_prints_each_declared_interval(key, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([key.partition(".")[0], "--help"])
+    assert exc.value.code == 0
+    opt = REGISTRY[key]
+    assert f"{opt.help} in {opt.within}" in " ".join(capsys.readouterr().out.split())
 
 
 NEGATIVE_VALUES = [

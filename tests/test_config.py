@@ -1,10 +1,11 @@
 """Config resolution: defaults, file parsing, override precedence."""
 
 import math
+import re
 
 import pytest
 
-from electronlab.config import REGISTRY, parse_config
+from electronlab.config import REGISTRY, _parse_value, parse_config
 from electronlab.errors import ConfigError
 
 
@@ -102,3 +103,59 @@ class TestOverrides:
     def test_budget_convention_choices(self):
         with pytest.raises(ConfigError, match="budget.convention"):
             parse_config("", ["subcommand=budget", "budget.convention=0.7"])
+
+
+def _text(value):
+    return ",".join(map(repr, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("key", sorted(k for k, opt in REGISTRY.items() if opt.default is not None))
+def test_default_passes_its_own_checks(key):
+    """Defaults never go through _parse_value, so a bad one would not be refused.
+
+    The subcommand's default, None, means that none is chosen yet."""
+    opt = REGISTRY[key]
+    assert _parse_value(opt, _text(opt.default), "default") == opt.default
+
+
+# The last value inside and the first value outside each finite end of every
+# declared interval; a bracket includes its end, a parenthesis excludes it.
+INSIDE = [
+    ("electron.points", "1"), ("electron.points", "1000000"),
+    ("epr.step_deg", "0.00036"), ("epr.step_deg", repr(math.nextafter(720.0, 0.0))),
+    ("epr.n", "1"), ("epr.n", "1000000000"),
+    ("sterngerlach.threshold", "5e-324"), ("sterngerlach.threshold", repr(math.nextafter(1.0, 0.0))),
+    ("sterngerlach.record_every", "1"), ("sterngerlach.record_every", str(10**400)),  # > max float
+]
+OUTSIDE = [
+    ("electron.points", "0"), ("electron.points", "1000001"),
+    ("epr.step_deg", repr(math.nextafter(0.00036, 0.0))), ("epr.step_deg", "720.0"),
+    ("epr.n", "0"), ("epr.n", "1000000001"),
+    ("sterngerlach.threshold", "0.0"), ("sterngerlach.threshold", "1.0"),
+    ("sterngerlach.record_every", "0"),
+]
+
+
+def test_interval_cases_cover_every_declared_interval():
+    declared = {key for key, opt in REGISTRY.items() if opt.within is not None}
+    assert {key for key, _ in INSIDE} == {key for key, _ in OUTSIDE} == declared
+
+
+def _case_id(text):
+    return text if len(text) < 30 else f"{len(text)}-digit"
+
+
+@pytest.mark.parametrize("key, text", INSIDE, ids=_case_id)
+def test_value_inside_its_interval_accepted(key, text):
+    cfg = parse_config("", [f"subcommand={key.partition('.')[0]}", f"{key}={text}"])
+    assert cfg.params[key] == type(REGISTRY[key].default)(text)
+
+
+@pytest.mark.parametrize("key, text", OUTSIDE, ids=_case_id)
+def test_value_outside_its_interval_refused_from_flag_and_file(key, text):
+    subcommand = key.partition(".")[0]
+    message = rf"'{key}' must lie in {re.escape(REGISTRY[key].within)}, got {re.escape(text)}$"
+    with pytest.raises(ConfigError, match="^override: " + message):
+        parse_config("", [f"subcommand={subcommand}", f"{key}={text}"])
+    with pytest.raises(ConfigError, match="^line 2: " + message):
+        parse_config(f"subcommand = {subcommand}\n{key} = {text}\n")
