@@ -58,6 +58,11 @@ def _json_text(payload: dict) -> str:
 
 
 def _write(path: Path, text: str):
+    # the first artifact creates --out, so a refused run leaves nothing behind
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"cannot create output directory {str(path.parent)!r}: {exc}") from None
     path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
 
@@ -185,8 +190,9 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     params = spin_dynamics.LLParams(
         kappa=p["sterngerlach.kappa"], u=p["sterngerlach.u"], dt=p["sterngerlach.dt"])
     every = p["sterngerlach.record_every"]
-    # the initial sample plus one per `every` steps
-    if 1 + duration / params.dt / every > MAX_ROWS:
+    # the initial sample plus one per `every` steps; a float compares exactly
+    # with an int of any size, where dividing by `every` would overflow
+    if duration / params.dt > (MAX_ROWS - 1) * every:
         raise ConfigError("sterngerlach.duration / sterngerlach.dt / sterngerlach.record_every"
                           f" would record more than {MAX_ROWS} rows")
     state0 = spin_dynamics.SpinState.from_vector(p["sterngerlach.es0"])
@@ -247,12 +253,7 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Dispatch one resolved configuration and write its artifacts."""
-    out = Path(config.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except ValueError as exc:  # a NUL byte in the path
-        raise ConfigError(f"cannot create output directory {config.out!r}: {exc}") from None
-    return _RUNNERS[config.subcommand](config, out)
+    return _RUNNERS[config.subcommand](config, Path(config.out))
 
 
 # The exceptions to the rule that key <subcommand>.<name> is the flag

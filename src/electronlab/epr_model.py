@@ -158,8 +158,16 @@ def conditional_outcome(known_a: str, pair: AnalyzerPair) -> str:
     return UNDETERMINED
 
 
-def _block_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+def _block_draws(seed: int, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """One block's hidden phases and detector draws, from one stream.
+
+    The phases are bitwise `rng.uniform(0, 2pi, size)`, which numpy
+    computes as 0.0 + 2pi*u, and the draws are the next `rng.random(size)`.
+    """
+    u = np.random.default_rng([seed, index]).random(2 * size)
+    phases = u[:size]
+    phases *= TWO_PI
+    return phases, u[size:]
 
 
 def _block_sizes(n: int) -> list[int]:
@@ -173,8 +181,7 @@ def hidden_phase_samples(n: int, seed: int) -> np.ndarray:
         raise DomainError(f"sample count must be >= 1, got {n!r}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed!r}")
-    parts = [_block_rng(seed, k).uniform(0.0, TWO_PI, size)
-             for k, size in enumerate(_block_sizes(n))]
+    parts = [_block_draws(seed, k, size)[0] for k, size in enumerate(_block_sizes(n))]
     return np.concatenate(parts)
 
 
@@ -186,6 +193,16 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
     Each trial draws phi0 uniform on [0, 2pi) and registers a hit with
     probability cos^2 of the rotated phase. Returns (hits, hits/n).
     Fixed seed gives bit-identical results at any worker count.
+
+    A trial is a hit when r < cos(x)**2 in float64, with x = base + phi0.
+    A float32 cos**2 screens the trials: the screen is off from the
+    float64 value by at most 2**-21 + 2**-23*|x| + 2**-24 (cosine, cast
+    of x, square), and the band 2**-17 + (|base| + 2pi)*2**-20 is at
+    least 8 times that. Trials whose draw is farther than the band from
+    the screen are decided by it; the rest, including every NaN that a
+    float32 overflow makes, are decided in float64. So the hits are
+    exactly those of the float64 rule. For |base| above about 2**20 rad
+    the band exceeds 1 and every trial is decided in float64.
     """
     if side not in SIDES:
         raise DomainError(f"side must be one of {SIDES}, got {side!r}")
@@ -197,13 +214,21 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
         raise DomainError(f"worker count must be >= 1, got {workers!r}")
 
     base = angle if side == SIDE_A else angle + delta
+    band = 2.0 ** -17 + (abs(base) + TWO_PI) * 2.0 ** -20
 
     def run_block(args: tuple[int, int]) -> int:
         index, size = args
-        rng = _block_rng(seed, index)
-        phi0 = rng.uniform(0.0, TWO_PI, size)
-        hit_probability = np.cos(base + phi0) ** 2
-        return int(np.count_nonzero(rng.random(size) < hit_probability))
+        x, r = _block_draws(seed, index, size)
+        x += base
+        # float32 overflows for huge angles; the NaN cosine lands in `near`
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = np.cos(x.astype(np.float32))
+            p *= p
+        d = r - p
+        hits = np.count_nonzero(d < -band)
+        near = np.flatnonzero(~(np.abs(d, out=d) > band))
+        hits += np.count_nonzero(r[near] < np.cos(x[near]) ** 2)
+        return int(hits)
 
     tasks = list(enumerate(_block_sizes(n)))
     # threads beyond the cores or the blocks would only sit idle

@@ -155,6 +155,14 @@ class TestSternGerlach:
         assert summary["ramp"]["shape"] == "linear"
         assert summary["kappa"] == 1.0
 
+    def test_record_every_beyond_double_range_keeps_first_and_last_state(self, tmp_path):
+        assert main(["sterngerlach", "--record-every", str(10 ** 400),
+                     "--out", str(tmp_path)]) == 0
+        _, _, rows = read_csv(tmp_path / "sterngerlach_trajectory.csv")
+        summary = read_json(tmp_path / "sterngerlach_summary.json")
+        assert [float(r["t"]) for r in rows] == [0.0, summary["final"]["t"]]
+        assert summary["final"]["t"] > 0.0
+
     def test_cosine_ramp_runs(self, tmp_path):
         code = main(["sterngerlach", "--ramp", "cosine", "--duration", "1.0",
                      "--dt", "1e-3", "--out", str(tmp_path)])
@@ -258,6 +266,8 @@ REJECTED = [
     (["electron", "--rho0", "abc"], "electron.rho0"),
     (["electron", "--points", "1.5"], "electron.points"),
     (["budget", "--convention", "0.7"], "budget.convention"),
+    # a check across two keys, made by the runner
+    (["electron", "--zmin", "1", "--zmax", "0", "--points", "2"], "electron.zmax"),
     # non-finite inputs
     (["electron", "--rho0", "nan"], "electron.rho0"),
     (["budget", "--band-energy-mev", "nan"], "budget.band_energy_mev"),
@@ -293,7 +303,7 @@ def test_rejected_input_exits_1_with_one_error_line(argv, fragment, tmp_path, ca
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert fragment in err[0]
-    assert not [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, fragment", [

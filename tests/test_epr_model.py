@@ -36,6 +36,21 @@ angle_st = st.floats(min_value=-20.0, max_value=20.0,
                      allow_nan=False, allow_infinity=False)
 
 
+def float64_blocks(n, seed):
+    """Each 65 536-trial block's hidden phases and detector draws."""
+    for k, start in enumerate(range(0, n, 1 << 16)):
+        rng = np.random.default_rng([seed, k])
+        size = min(1 << 16, n - start)
+        yield rng.uniform(0.0, 2.0 * math.pi, size), rng.random(size)
+
+
+def float64_hits(angle, side, delta, n, seed):
+    """The singles hit rule, all in float64, block by block."""
+    base = angle if side == "A" else angle + delta
+    return sum(int(np.count_nonzero(r < np.cos(base + phi0) ** 2))
+               for phi0, r in float64_blocks(n, seed))
+
+
 class TestRotorPhase:
     def test_zero_angle(self):
         assert rotor_phase(0.0, "A") == 1.0 + 0.0j
@@ -285,6 +300,18 @@ class TestMonteCarloSingles:
         b = monte_carlo_singles(0.9, side="A", n=10_000, seed=3)
         assert a == b
 
+    # 1e3 puts about 130 trials per block in the float64 band; at 1e300
+    # the band exceeds 1 and float32 overflows, which must stay silent
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 4.0, 1e3, -1e3, 1e300])
+    @pytest.mark.parametrize("n", [1, 65_535, 65_537, 3 * 65_536 + 5])
+    def test_hits_equal_the_float64_rule(self, angle, n):
+        for seed, side, delta, workers in [(0, "A", 0.0, 1), (11, "B", 0.37, 2),
+                                           (2**31 - 1, "B", -2.5, 1), (5, "A", 0.9, 2)]:
+            hits = float64_hits(angle, side, delta, n, seed)
+            assert monte_carlo_singles(angle, side, delta, n=n, seed=seed,
+                                       workers=workers) == (hits, hits / n)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             monte_carlo_singles(0.0, n=0, seed=1)
@@ -305,6 +332,11 @@ class TestHiddenPhase:
         phases = hidden_phase_samples(n, seed=13)
         mean = complex(np.mean(np.exp(1j * phases)))
         assert abs(mean) <= 4.0 / math.sqrt(n)
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (3 * 65_536 + 5, 29)])
+    def test_equals_the_phases_the_sampler_draws(self, n, seed):
+        phases = np.concatenate([phi0 for phi0, _ in float64_blocks(n, seed)])
+        assert np.array_equal(hidden_phase_samples(n, seed), phases)
 
     def test_block_layout_stable(self):
         whole = hidden_phase_samples(70_000, seed=17)
