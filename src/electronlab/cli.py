@@ -70,27 +70,29 @@ def _write(path: Path, text: str):
 def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **header):
     """Tabular artifact in the configured format (CSV gets a JSON mirror).
 
-    `rows` are tuples of floats in column order. `header` entries go into
-    the JSON between the metadata and the table. Both texts are built
-    before any file is written, so a rejected run writes no file.
+    `rows` is any iterable of float tuples in column order. `header`
+    entries go into the JSON between the metadata and the table. Both
+    texts are built before any file is written, so a rejected run writes
+    no file.
     """
     text = _json_text({**_meta(config), **header, "columns": list(columns), "rows": []})
     cells = tuple(chain.from_iterable(rows))
-    if rows:
+    count = len(cells) // len(columns)
+    if cells:
         # json's indent=2 layout around one pass of its C encoder, which
         # writes each float as its repr and rejects NaN and infinity;
         # "rows" is the last key, so the text ends in `[]\n}\n`
         tokens = _strict_json(cells)[1:-1].split(", ")
         fields = ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
         item = "    {\n" + fields + "\n    }"
-        body = ",\n".join([item] * len(rows)) % tuple(tokens)
+        body = ",\n".join([item] * count) % tuple(tokens)
         text = text[:-len("[]\n}\n")] + "[\n" + body + "\n  ]\n}\n"
     if config.format == "csv":
         lines = [f"# version = {__version__}"]
         lines += [f"# {key} = {_fmt(value)}" for key, value in config.resolved().items()]
         lines.append(",".join(columns))
-        if rows:
-            lines.append("\n".join([",".join(["%.17g"] * len(columns))] * len(rows)) % cells)
+        if cells:
+            lines.append("\n".join([",".join(["%.17g"] * len(columns))] * count) % cells)
         _write(out / f"{name}.csv", "\n".join(lines) + "\n")
     _write(out / f"{name}.json", text)
 
@@ -114,13 +116,13 @@ def _run_electron(config: RunConfig, out: Path) -> int:
     else:
         step = (zmax - zmin) / (points - 1)
         zs = [zmin + i * step for i in range(points)]
-    rows = profile_rows(electron, zs, t=p["electron.t"])
-    rows = list(map(itemgetter(*PROFILE_COLUMNS), rows))
+    # only the map holds the row dicts, so they are freed once the writer has read them
+    rows = map(itemgetter(*PROFILE_COLUMNS), profile_rows(electron, zs, t=p["electron.t"]))
 
     _write_table(out, "electron_profile", PROFILE_COLUMNS, rows, config,
                  wavelength=electron.wavelength, nu=electron.nu, E0=electron.E0,
                  H0=electron.H0, cohesive_potential_ev=COHESIVE_POTENTIAL_EV)
-    print(f"electron profile: {len(rows)} samples, wavelength = {_fmt(electron.wavelength)}")
+    print(f"electron profile: {len(zs)} samples, wavelength = {_fmt(electron.wavelength)}")
     return 0
 
 
@@ -199,14 +201,12 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     trajectory = spin_dynamics.integrate(state0, ramp, params, record_every=every)
 
     bx, by, bz = ramp.b_dir
-    rows = []
-    for t, state in trajectory:
-        ex, ey, ez = state.e_s
-        rows.append((t, ex, ey, ez, ex * bx + ey * by + ez * bz))
+    t, ex, ey, ez = trajectory.t, trajectory.ex, trajectory.ey, trajectory.ez
+    dots = [x * bx + y * by + z * bz for x, y, z in zip(ex, ey, ez)]
     _write_table(out, "sterngerlach_trajectory", ("t", "ex", "ey", "ez", "dot_B"),
-                 rows, config)
+                 zip(t, ex, ey, ez, dots), config)
 
-    final = trajectory[-1][1]
+    t_final, final = trajectory[-1]
     label = spin_dynamics.classify_deflection(final, ramp.b_dir, threshold)
     payload = {**_meta(config),
                "classification": label,
@@ -217,11 +217,11 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
                         "duration": duration,
                         "dt": params.dt},
                "threshold": threshold,
-               "final": {"t": trajectory[-1][0],
+               "final": {"t": t_final,
                          "e_s": list(final.e_s),
-                         "dot_B": rows[-1][4]}}
+                         "dot_B": dots[-1]}}
     _write(out / "sterngerlach_summary.json", _json_text(payload))
-    print(f"deflection: {label} (e_s . B = {_fmt(rows[-1][4])})")
+    print(f"deflection: {label} (e_s . B = {_fmt(dots[-1])})")
     return 0
 
 

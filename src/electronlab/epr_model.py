@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,6 +235,10 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
     if workers == 1:
         hits = sum(run_block(task) for task in tasks)
     else:
+        # imported here: concurrent.futures pulls in logging, which a
+        # one-worker run never needs, at every process start
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(run_block, tasks))
     return hits, hits / n

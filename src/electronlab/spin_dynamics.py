@@ -15,6 +15,7 @@ axis at the end of the ramp instead of asserting alignment.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,7 +42,7 @@ def _norm(a: Vec3) -> float:
 
 @dataclass(frozen=True, slots=True)
 class SpinState:
-    """Unit spin direction; `integrate` builds one per recorded step."""
+    """Unit spin direction; a `Trajectory` builds one per item it hands out."""
 
     e_s: Vec3
 
@@ -134,14 +135,40 @@ def ll_rhs(state: SpinState, params: LLParams, dbdt: Sequence[float]) -> Vec3:
     return _cross(state.e_s, _precession(params, dbdt))
 
 
+class Trajectory(abc.Sequence):
+    """The samples `integrate` recorded, as four float columns.
+
+    Item k is `(t[k], SpinState((ex[k], ey[k], ez[k])))`, built and
+    validated when it is read; the columns themselves hold plain floats.
+    """
+
+    __slots__ = ("t", "ex", "ey", "ez")
+
+    def __init__(self, t: list[float], ex: list[float], ey: list[float], ez: list[float]):
+        self.t, self.ex, self.ey, self.ez = t, ex, ey, ez
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return self.t[k], SpinState((self.ex[k], self.ey[k], self.ez[k]))
+
+
 def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
-              record_every: int = 1) -> list[tuple[float, SpinState]]:
+              record_every: int = 1) -> Trajectory:
     """RK4 trajectory of the spin direction over the ramp.
 
     The step count is duration/dt rounded to an integer (the step size is
     adjusted so the final sample lands exactly at t = duration). Every
     step renormalizes e_s. Records every `record_every`-th step plus the
-    initial and final states.
+    initial and final states, as the float columns of a `Trajectory`.
+
+    Only the final state is checked for unit length. A step that is
+    renormalized stays on the unit sphere, and a NaN or infinity in any
+    step turns every later state into NaN, so a unit final state means
+    every record is unit; otherwise the check raises `DomainError`.
     """
     if record_every < 1:
         raise DomainError(f"record_every must be >= 1, got {record_every!r}")
@@ -158,7 +185,7 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
         raise DomainError(f"precession vector kappa*(u x dB/dt) is non-finite: {(wx, wy, wz)!r}")
     ex, ey, ez = state0.e_s
     sixth = h / 6.0
-    out: list[tuple[float, SpinState]] = [(0.0, state0)]
+    ts, xs, ys, zs = [0.0], [ex], [ey], [ez]
 
     for k in range(steps):
         t0 = k * h
@@ -194,9 +221,13 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
 
         if (k + 1) % record_every == 0 or k + 1 == steps:
             t = ramp.duration if k + 1 == steps else (k + 1) * h
-            out.append((t, SpinState(e_s=(ex, ey, ez))))
+            ts.append(t)
+            xs.append(ex)
+            ys.append(ey)
+            zs.append(ez)
 
-    return out
+    SpinState((ex, ey, ez))  # the one unit-length check, for every record
+    return Trajectory(ts, xs, ys, zs)
 
 
 def classify_deflection(final: SpinState, b_dir: Sequence[float], threshold: float) -> str:

@@ -17,10 +17,22 @@ from electronlab.cli import main
 from electronlab.config import REGISTRY, parse_config
 from electronlab.electron_model import PlaneWaveElectron
 from electronlab.errors import DomainError
+from electronlab.spin_dynamics import LLParams, SpinState, cosine_ramp, integrate, linear_ramp
 
 
 def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def table_texts(config, columns, rows, **header):
+    """A table's JSON as json's indent=2 encoder writes it and its CSV with f"{v:.17g}" cells."""
+    payload = {"version": __version__, "config": config.resolved(), **header,
+               "columns": list(columns), "rows": [dict(zip(columns, row)) for row in rows]}
+    lines = [f"# version = {__version__}"]
+    lines += [f"# {key} = {cli._fmt(value)}" for key, value in config.resolved().items()]
+    lines.append(",".join(columns))
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n", "\n".join(lines) + "\n"
 
 
 def read_csv(path):
@@ -162,6 +174,44 @@ class TestSternGerlach:
         summary = read_json(tmp_path / "sterngerlach_summary.json")
         assert [float(r["t"]) for r in rows] == [0.0, summary["final"]["t"]]
         assert summary["final"]["t"] > 0.0
+
+    def test_overflow_inside_the_integration_exits_1_with_one_error_line(self, tmp_path, capsys):
+        # README run at kappa = 1e300: RK4 overflows to NaN, which the final state shows
+        argv = ["sterngerlach", "--kappa", "1e300", "--u", "0,0,1", "--bdir", "1,0,0",
+                "--brate", "1", "--duration", "1.5707963", "--dt", "1e-4", "--ramp", "linear"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: spin direction must be unit length, |e_s| = nan\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("every", [1, 7])
+    @pytest.mark.parametrize("shape", ["linear", "cosine"])
+    def test_artifacts_equal_rows_rebuilt_from_the_trajectory_items(self, shape, every,
+                                                                     tmp_path):
+        """The trajectory tables as json.dumps(indent=2) and %.17g write the items."""
+        argv = ["sterngerlach", "--ramp", shape, "--record-every", str(every), "--kappa", "1.7",
+                "--u", "0.3,-0.2,1", "--bdir", "1,0.5,-0.7", "--es0", "0.3,0.4,0.8",
+                "--brate", "0.8", "--duration", "0.9", "--dt", "1e-3", "--out", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        config = parse_config("", cli._collect_overrides(cli.build_parser().parse_args(argv)))
+        b_dir = (1.0, 0.5, -0.7)
+        ramp = (linear_ramp(0.8, 0.9, b_dir) if shape == "linear"
+                else cosine_ramp(0.8 * 0.9, 0.9, b_dir))
+        bx, by, bz = ramp.b_dir
+        traj = integrate(SpinState.from_vector((0.3, 0.4, 0.8)), ramp,
+                         LLParams(kappa=1.7, u=(0.3, -0.2, 1.0), dt=1e-3), every)
+        rows = []
+        for t, state in traj:
+            ex, ey, ez = state.e_s
+            rows.append((t, ex, ey, ez, ex * bx + ey * by + ez * bz))
+        assert len(rows) == 1 + math.ceil(900 / every)
+
+        expected_json, expected_csv = table_texts(config, ("t", "ex", "ey", "ez", "dot_B"), rows)
+        table = tmp_path / "sterngerlach_trajectory"
+        assert table.with_suffix(".json").read_text(encoding="utf-8") == expected_json
+        assert table.with_suffix(".csv").read_text(encoding="utf-8") == expected_csv
+        final = read_json(tmp_path / "sterngerlach_summary.json")["final"]
+        assert final == {"t": rows[-1][0], "e_s": list(rows[-1][1:4]), "dot_B": rows[-1][4]}
 
     def test_cosine_ramp_runs(self, tmp_path):
         code = main(["sterngerlach", "--ramp", "cosine", "--duration", "1.0",
@@ -433,15 +483,9 @@ def test_table_writer_matches_the_json_and_csv_oracles(table):
     columns, rows = table
     with tempfile.TemporaryDirectory() as out:
         config = _write_table(out, columns, rows, "csv")
-        payload = {"version": __version__, "config": config.resolved(), "wavelength": 1.5,
-                   "columns": list(columns), "rows": [dict(zip(columns, row)) for row in rows]}
-        expected_json = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        expected_json, expected_csv = table_texts(config, columns, rows, wavelength=1.5)
         assert (Path(out) / "table.json").read_text(encoding="utf-8") == expected_json
-        lines = [f"# version = {__version__}"]
-        lines += [f"# {key} = {cli._fmt(value)}" for key, value in config.resolved().items()]
-        lines.append(",".join(columns))
-        lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
-        assert (Path(out) / "table.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        assert (Path(out) / "table.csv").read_text(encoding="utf-8") == expected_csv
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

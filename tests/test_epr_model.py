@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -275,12 +278,21 @@ class TestMonteCarloSingles:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(epr_model, "ThreadPoolExecutor", RecordingPool)
+        # monte_carlo_singles imports the pool class when it needs a pool
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(epr_model.os, "cpu_count", lambda: cores)
         n = (blocks - 1) * (1 << 16) + 5
         result = monte_carlo_singles(0.7, n=n, seed=4, workers=workers)
         assert sizes == ([] if pool is None else [pool])
         assert result == monte_carlo_singles(0.7, n=n, seed=4, workers=1)
+
+    def test_a_one_worker_process_never_imports_the_pool(self):
+        # concurrent.futures pulls in logging, at a cost paid by every CLI start
+        code = ("import sys, electronlab.cli; "
+                "electronlab.cli.epr_model.monte_carlo_singles(0.5, n=1000, seed=1); "
+                "sys.exit('concurrent.futures' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_rate_near_half_for_any_angle(self):
         n = 100_000

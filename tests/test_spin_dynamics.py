@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import random
+import tracemalloc
+from collections import abc
 
 import pytest
 from hypothesis import given
@@ -17,6 +19,7 @@ from electronlab.spin_dynamics import (
     FieldRamp,
     LLParams,
     SpinState,
+    Trajectory,
     classify_deflection,
     cosine_ramp,
     integrate,
@@ -136,6 +139,68 @@ class TestNonFiniteInputs:
         ramp = linear_ramp(1.0, 1.0, (1.0, 0.0, 0.0))
         with pytest.raises(DomainError, match="non-finite"):
             integrate(SpinState((0.0, 0.0, 1.0)), ramp, params)
+
+
+    def test_overflow_inside_the_loop_fails_the_final_check(self):
+        # the README run at kappa = 1e300: w is finite, but the first RK4 step
+        # overflows to inf and its renormalization to NaN, which stays NaN
+        params = LLParams(kappa=1e300, u=(0.0, 0.0, 1.0), dt=1e-4)
+        ramp = linear_ramp(1.0, 1.5707963, (1.0, 0.0, 0.0))
+        for every in (1, 10**9):
+            with pytest.raises(DomainError,
+                               match=r"^spin direction must be unit length, \|e_s\| = nan$"):
+                integrate(SpinState((0.0, 0.0, 1.0)), ramp, params, every)
+
+
+class TestTrajectory:
+    """`integrate` records float columns and builds each item when it is read."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        ramp = cosine_ramp(2.0, 1.0, (1.0, 0.5, 0.0))
+        return integrate(SpinState.from_vector((0.3, 0.4, 0.8)), ramp, LLParams(dt=0.01), 7)
+
+    def test_is_a_slotted_sequence(self, traj):
+        assert isinstance(traj, Trajectory) and isinstance(traj, abc.Sequence)
+        assert not hasattr(traj, "__dict__")
+
+    def test_length_indices_and_iteration(self, traj):
+        n = len(traj)
+        assert n == len(traj.t) == len(list(traj))
+        assert list(traj) == [traj[k] for k in range(n)]
+        for k in range(-n, 0):
+            assert traj[k] == traj[n + k]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                traj[k]
+        assert traj[::-3] == list(traj)[::-3]
+
+    def test_items_are_a_time_and_a_spin_state(self, traj):
+        for item in traj:
+            t, s = item
+            assert type(item) is tuple and type(t) is float and type(s) is SpinState
+        assert traj[0] == (0.0, SpinState.from_vector((0.3, 0.4, 0.8)))
+        assert traj[-1][0] == 1.0
+
+    def test_columns_equal_the_items(self, traj):
+        assert traj.t == [t for t, _ in traj]
+        assert list(zip(traj.ex, traj.ey, traj.ez)) == [s.e_s for _, s in traj]
+        assert all(type(c) is float for c in traj.t + traj.ex + traj.ey + traj.ez)
+
+    def test_peak_bytes_per_record(self):
+        # four floats and four list slots cost about 131 B a record; a
+        # (t, SpinState) pair per record cost about 255 B
+        ramp = linear_ramp(1.0, 2.0, (1.0, 0.0, 0.0))
+        state0, params = SpinState((0.0, 1.0, 0.0)), LLParams(dt=1e-4)
+        integrate(state0, linear_ramp(1.0, 0.01, (1.0, 0.0, 0.0)), params)  # warm-up
+        tracemalloc.start()
+        try:
+            traj = integrate(state0, ramp, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 20001
+        assert peak / len(traj) < 180
 
 
 class TestIntegrate:
