@@ -6,4 +6,4 @@ field (`spin_dynamics`), analyzer-correlation statistics (`epr_model`),
 a microscope uncertainty budget (`uncertainty`), and a batch CLI (`cli`).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

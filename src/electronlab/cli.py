@@ -30,11 +30,9 @@ from .uncertainty import budget_report
 
 
 def _fmt(value) -> str:
-    """Fixed 17-significant-digit float formatting for `#` lines and stdout."""
+    """`#` line and stdout text; a float is its repr, the text the JSON holds."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
     if isinstance(value, (tuple, list)):
         return ",".join(_fmt(v) for v in value)
     return str(value)
@@ -59,10 +57,7 @@ def _json_text(payload: dict) -> str:
 
 def _write(path: Path, text: str):
     # the first artifact creates --out, so a refused run leaves nothing behind
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    except ValueError as exc:  # a NUL byte in the path
-        raise ConfigError(f"cannot create output directory {str(path.parent)!r}: {exc}") from None
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
 
@@ -76,23 +71,21 @@ def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **heade
     no file.
     """
     text = _json_text({**_meta(config), **header, "columns": list(columns), "rows": []})
-    cells = tuple(chain.from_iterable(rows))
-    count = len(cells) // len(columns)
-    if cells:
-        # json's indent=2 layout around one pass of its C encoder, which
-        # writes each float as its repr and rejects NaN and infinity;
-        # "rows" is the last key, so the text ends in `[]\n}\n`
-        tokens = _strict_json(cells)[1:-1].split(", ")
+    # one pass of json's C encoder writes each cell as its repr and rejects NaN
+    # and infinity; both files are built from these tokens
+    encoded = _strict_json(list(chain.from_iterable(rows)))[1:-1]
+    tokens = encoded.split(", ") if encoded else []
+    if tokens:
+        # json's indent=2 layout; "rows" is the last key, so the text ends in `[]\n}\n`
         fields = ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
         item = "    {\n" + fields + "\n    }"
-        body = ",\n".join([item] * count) % tuple(tokens)
+        body = ",\n".join([item] * (len(tokens) // len(columns))) % tuple(tokens)
         text = text[:-len("[]\n}\n")] + "[\n" + body + "\n  ]\n}\n"
     if config.format == "csv":
         lines = [f"# version = {__version__}"]
         lines += [f"# {key} = {_fmt(value)}" for key, value in config.resolved().items()]
         lines.append(",".join(columns))
-        if cells:
-            lines.append("\n".join([",".join(["%.17g"] * len(columns))] * count) % cells)
+        lines += map(",".join, zip(*[iter(tokens)] * len(columns)))
         _write(out / f"{name}.csv", "\n".join(lines) + "\n")
     _write(out / f"{name}.json", text)
 

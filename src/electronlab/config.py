@@ -10,6 +10,7 @@ resolved configuration (defaults included) for embedding in artifacts.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -83,6 +84,9 @@ _OPTIONS = [
 REGISTRY = {opt.key: opt for opt in _OPTIONS}
 
 _ARITY = {"vec3": 3, "angles4": 4}   # comma-separated float kinds
+# Unicode's control characters (Cc) and its line and paragraph separators: any of
+# them in `out` would break a `#` line of a CSV, and NUL a path
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,8 @@ def _parse_value(opt: Option, raw: Any, where: str) -> Any:
             value = _finite(text)
         elif opt.kind == "str":
             value = text
+            if bad := _CONTROL.search(text):
+                raise ValueError(f"control character {bad[0]!r}")
         elif opt.kind in _ARITY:
             value = tuple(_finite(part) for part in text.split(","))
             if len(value) != _ARITY[opt.kind]:

@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -25,13 +26,13 @@ def read_json(path):
 
 
 def table_texts(config, columns, rows, **header):
-    """A table's JSON as json's indent=2 encoder writes it and its CSV with f"{v:.17g}" cells."""
+    """A table's JSON as json's indent=2 encoder writes it and its CSV with repr(v) cells."""
     payload = {"version": __version__, "config": config.resolved(), **header,
                "columns": list(columns), "rows": [dict(zip(columns, row)) for row in rows]}
     lines = [f"# version = {__version__}"]
     lines += [f"# {key} = {cli._fmt(value)}" for key, value in config.resolved().items()]
     lines.append(",".join(columns))
-    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    lines += [",".join(repr(v) for v in row) for row in rows]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n", "\n".join(lines) + "\n"
 
 
@@ -87,13 +88,13 @@ class TestElectronProfile:
         assert header == ["z", "t", "rho", "omega_kin", "omega_field", "S",
                           "psi_scalar", "psi_pseudo"]
         assert len(rows) == 9
-        assert meta["version"] == "0.1.0"
+        assert meta["version"] == __version__
         assert meta["electron.points"] == "9"
         electron = PlaneWaveElectron(rho0=1.0, u=1.0)
         for row in rows:
             z = float(row["z"])
             assert float(row["rho"]) == pytest.approx(electron.density(z, 0.0), abs=1e-15)
-            # 17-significant-digit formatting round-trips exactly
+            # repr, the shortest string that reads back as the same double, round-trips
             assert float(row["rho"]) == electron.density(z, 0.0)
 
     def test_json_mirror_matches(self, tmp_path):
@@ -187,7 +188,7 @@ class TestSternGerlach:
     @pytest.mark.parametrize("shape", ["linear", "cosine"])
     def test_artifacts_equal_rows_rebuilt_from_the_trajectory_items(self, shape, every,
                                                                      tmp_path):
-        """The trajectory tables as json.dumps(indent=2) and %.17g write the items."""
+        """The trajectory tables as json.dumps(indent=2) and repr write the items."""
         argv = ["sterngerlach", "--ramp", shape, "--record-every", str(every), "--kappa", "1.7",
                 "--u", "0.3,-0.2,1", "--bdir", "1,0.5,-0.7", "--es0", "0.3,0.4,0.8",
                 "--brate", "0.8", "--duration", "0.9", "--dt", "1e-3", "--out", str(tmp_path)]
@@ -358,8 +359,9 @@ def test_rejected_input_exits_1_with_one_error_line(argv, fragment, tmp_path, ca
 
 @pytest.mark.parametrize("argv, fragment", [
     (["epr", "--config", "{tmp}/latin1.cfg", "--out", "{tmp}/out"], "can't decode byte 0xe9"),
-    (["budget", "--out", "{tmp}/a\0b"], "embedded null byte"),
-], ids=["config file not UTF-8", "NUL byte in --out"])
+    (["budget", "--out", "{tmp}/a\0b"], "control character '\\x00'"),
+    (["electron", "--points", "2", "--out", "{tmp}/o\nx"], "control character '\\n'"),
+], ids=["config file not UTF-8", "NUL byte in --out", "line break in --out"])
 def test_bad_config_file_or_out_path_exits_1_with_one_error_line(argv, fragment, tmp_path,
                                                                  capsys):
     (tmp_path / "latin1.cfg").write_bytes("epr.mode = chsh  # café\n".encode("latin-1"))
@@ -402,6 +404,14 @@ def test_unknown_flag_is_argparse_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["electron", "--bogus", "1"])
     assert exc.value.code == 2
+
+
+def test_pyproject_takes_its_version_from_the_package():
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls [tool.setuptools] beta
+        config = pyproject.read_configuration(Path(__file__).parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == __version__
 
 
 # Finite floats weighted toward the ends of the double range, as flag text.
@@ -460,7 +470,7 @@ def test_extreme_inputs_keep_the_exit_contract(base, data):
             assert code == 1 and len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
 
 
-# Float cells with the edge cases of repr and of 17-digit formatting.
+# Float cells with the edge cases of repr: signed zero, subnormals, exponents near the ends.
 CELL = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7e308, -1.7e308])
 TABLES = st.integers(1, 8).flatmap(lambda width: st.tuples(
@@ -479,7 +489,7 @@ def _write_table(out, columns, rows, fmt):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(table=TABLES)
 def test_table_writer_matches_the_json_and_csv_oracles(table):
-    """JSON as json's indent=2 encoder writes it; CSV cells as f"{v:.17g}"."""
+    """JSON as json's indent=2 encoder writes it; CSV cells as repr(v), the JSON's tokens."""
     columns, rows = table
     with tempfile.TemporaryDirectory() as out:
         config = _write_table(out, columns, rows, "csv")
