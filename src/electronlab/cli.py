@@ -38,10 +38,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _meta(config: RunConfig) -> dict:
-    return {"version": __version__, "config": config.resolved()}
-
-
 def _strict_json(obj, indent=None) -> str:
     """RFC 8259 JSON: a NaN or infinity is an error, not a token."""
     try:
@@ -51,8 +47,10 @@ def _strict_json(obj, indent=None) -> str:
                           "the inputs exceed double precision") from None
 
 
-def _json_text(payload: dict) -> str:
-    return _strict_json(payload, indent=2) + "\n"
+def _json_text(config: RunConfig, **fields) -> str:
+    """Every JSON artifact: the version, the resolved configuration, then `fields`."""
+    return _strict_json({"version": __version__, "config": config.resolved(), **fields},
+                        indent=2) + "\n"
 
 
 def _write(path: Path, text: str):
@@ -70,7 +68,7 @@ def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **heade
     texts are built before any file is written, so a rejected run writes
     no file.
     """
-    text = _json_text({**_meta(config), **header, "columns": list(columns), "rows": []})
+    text = _json_text(config, **header, columns=list(columns), rows=[])
     # one pass of json's C encoder writes each cell as its repr and rejects NaN
     # and infinity; both files are built from these tokens
     encoded = _strict_json(list(chain.from_iterable(rows)))[1:-1]
@@ -145,11 +143,8 @@ def _run_epr(config: RunConfig, out: Path) -> int:
                      for b in (settings.phi2, settings.phi2p)]
                     for a in (settings.phi1, settings.phi1p)]
         s = epr_model.chsh_sum(settings, delta)
-        payload = {**_meta(config),
-                   "settings_deg": list(degs),
-                   "E_matrix": e_matrix,
-                   "S": s}
-        _write(out / "epr_chsh.json", _json_text(payload))
+        _write(out / "epr_chsh.json",
+               _json_text(config, settings_deg=list(degs), E_matrix=e_matrix, S=s))
         print(f"CHSH sum S = {_fmt(s)}")
         return 0
 
@@ -159,13 +154,8 @@ def _run_epr(config: RunConfig, out: Path) -> int:
         math.radians(p["epr.angle_deg"]), side="A", delta=delta,
         n=n, seed=config.seed, workers=p["epr.workers"])
     stderr = math.sqrt(rate * (1.0 - rate) / n)
-    payload = {**_meta(config),
-               "angle_deg": p["epr.angle_deg"],
-               "n": n,
-               "hits": hits,
-               "rate": rate,
-               "stderr": stderr}
-    _write(out / "epr_singles.json", _json_text(payload))
+    _write(out / "epr_singles.json", _json_text(
+        config, angle_deg=p["epr.angle_deg"], n=n, hits=hits, rate=rate, stderr=stderr))
     print(f"singles rate = {_fmt(rate)} ({hits}/{n})")
     return 0
 
@@ -185,9 +175,7 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     params = spin_dynamics.LLParams(
         kappa=p["sterngerlach.kappa"], u=p["sterngerlach.u"], dt=p["sterngerlach.dt"])
     every = p["sterngerlach.record_every"]
-    # the initial sample plus one per `every` steps; a float compares exactly
-    # with an int of any size, where dividing by `every` would overflow
-    if duration / params.dt > (MAX_ROWS - 1) * every:
+    if spin_dynamics.schedule(duration, params.dt, every)[1] > MAX_ROWS:
         raise ConfigError("sterngerlach.duration / sterngerlach.dt / sterngerlach.record_every"
                           f" would record more than {MAX_ROWS} rows")
     state0 = spin_dynamics.SpinState.from_vector(p["sterngerlach.es0"])
@@ -201,19 +189,14 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
 
     t_final, final = trajectory[-1]
     label = spin_dynamics.classify_deflection(final, ramp.b_dir, threshold)
-    payload = {**_meta(config),
-               "classification": label,
-               "kappa": params.kappa,
-               "ramp": {"shape": p["sterngerlach.ramp"],
-                        "b_dir": list(ramp.b_dir),
-                        "rate": rate,
-                        "duration": duration,
-                        "dt": params.dt},
-               "threshold": threshold,
-               "final": {"t": t_final,
-                         "e_s": list(final.e_s),
-                         "dot_B": dots[-1]}}
-    _write(out / "sterngerlach_summary.json", _json_text(payload))
+    _write(out / "sterngerlach_summary.json", _json_text(
+        config,
+        classification=label,
+        kappa=params.kappa,
+        ramp={"shape": p["sterngerlach.ramp"], "b_dir": list(ramp.b_dir), "rate": rate,
+              "duration": duration, "dt": params.dt},
+        threshold=threshold,
+        final={"t": t_final, "e_s": list(final.e_s), "dot_B": dots[-1]}))
     print(f"deflection: {label} (e_s . B = {_fmt(dots[-1])})")
     return 0
 
@@ -232,7 +215,7 @@ def _run_budget(config: RunConfig, out: Path) -> int:
     width = max(len(k) for k in fields)
     for key, value in fields.items():
         print(f"{key:<{width}}  {_fmt(value)}")
-    _write(out / "budget.json", _json_text({**_meta(config), "budget": fields}))
+    _write(out / "budget.json", _json_text(config, budget=fields))
     return 0
 
 
@@ -303,7 +286,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            file_text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+            # utf-8-sig: a byte order mark, as Notepad writes one, is not part of the first key
+            file_text = Path(args.config).read_text(encoding="utf-8-sig") if args.config else ""
         except ValueError as exc:  # a NUL byte in the name, or bytes that are not UTF-8
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from None
         return run(parse_config(file_text, _collect_overrides(args)))

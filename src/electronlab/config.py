@@ -119,9 +119,7 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_value(opt: Option, raw: Any, where: str) -> Any:
-    if not isinstance(raw, str):
-        return raw
+def _parse_value(opt: Option, raw: str, where: str) -> Any:
     text = raw.strip()
     try:
         if opt.kind == "int":
@@ -151,7 +149,7 @@ def _parse_value(opt: Option, raw: Any, where: str) -> Any:
     return value
 
 
-def _assign(resolved: dict, key: str, raw: Any, where: str):
+def _assign(resolved: dict, key: str, raw: str, where: str):
     opt = REGISTRY.get(key)
     if opt is None:
         raise ConfigError(f"{where}: unknown key '{key}'")
@@ -162,7 +160,9 @@ def parse_config(file_text: str, overrides: Sequence[str] = ()) -> RunConfig:
     """Resolve defaults, then the config file, then override flags."""
     resolved = {opt.key: opt.default for opt in _OPTIONS}
 
-    for lineno, line in enumerate(file_text.splitlines(), start=1):
+    # the breaks universal newlines read; str.splitlines also breaks at \v, \x1c, U+2028 ...
+    lines = file_text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

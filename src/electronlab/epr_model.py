@@ -157,16 +157,15 @@ def conditional_outcome(known_a: str, pair: AnalyzerPair) -> str:
     return UNDETERMINED
 
 
-def _block_draws(seed: int, index: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """One block's hidden phases and detector draws, from one stream.
+def _block_draws(seed: int, index: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block's hidden phases and detector draws, from one stream, in `u`'s halves.
 
     The phases are bitwise `rng.uniform(0, 2pi, size)`, which numpy
     computes as 0.0 + 2pi*u, and the draws are the next `rng.random(size)`.
     """
-    u = np.random.default_rng([seed, index]).random(2 * size)
-    phases = u[:size]
+    phases, draws = np.split(np.random.default_rng([seed, index]).random(out=u), 2)
     phases *= TWO_PI
-    return phases, u[size:]
+    return phases, draws
 
 
 def _block_sizes(n: int) -> list[int]:
@@ -180,7 +179,7 @@ def hidden_phase_samples(n: int, seed: int) -> np.ndarray:
         raise DomainError(f"sample count must be >= 1, got {n!r}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed!r}")
-    parts = [_block_draws(seed, k, size)[0] for k, size in enumerate(_block_sizes(n))]
+    parts = [_block_draws(seed, k, np.empty(2 * size))[0] for k, size in enumerate(_block_sizes(n))]
     return np.concatenate(parts)
 
 
@@ -215,30 +214,33 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
     base = angle if side == SIDE_A else angle + delta
     band = 2.0 ** -17 + (abs(base) + TWO_PI) * 2.0 ** -20
 
-    def run_block(args: tuple[int, int]) -> int:
-        index, size = args
-        x, r = _block_draws(seed, index, size)
-        x += base
-        # float32 overflows for huge angles; the NaN cosine lands in `near`
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = np.cos(x.astype(np.float32))
-            p *= p
-        d = r - p
-        hits = np.count_nonzero(d < -band)
-        near = np.flatnonzero(~(np.abs(d, out=d) > band))
-        hits += np.count_nonzero(r[near] < np.cos(x[near]) ** 2)
+    def run_blocks(share: list[tuple[int, int]]) -> int:
+        # one set of buffers per worker, so that no block frees ~2 MB for the next to refault
+        u, p, d = np.empty(2 * _BLOCK), np.empty(_BLOCK, np.float32), np.empty(_BLOCK)
+        hits = 0
+        for index, size in share:
+            x, r = _block_draws(seed, index, u[:2 * size])
+            x += base
+            # x rounded to float32 overflows for huge angles; the NaN cosine lands in `near`
+            with np.errstate(over="ignore", invalid="ignore"):
+                screen = np.cos(x, out=p[:size], dtype=np.float32, casting="same_kind")
+                screen *= screen
+            diff = np.subtract(r, screen, out=d[:size])
+            hits += np.count_nonzero(diff < -band)
+            near = np.flatnonzero(~(np.abs(diff, out=diff) > band))
+            hits += np.count_nonzero(r[near] < np.cos(x[near]) ** 2)
         return int(hits)
 
     tasks = list(enumerate(_block_sizes(n)))
     # threads beyond the cores or the blocks would only sit idle
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers == 1:
-        hits = sum(run_block(task) for task in tasks)
+        hits = run_blocks(tasks)
     else:
         # imported here: concurrent.futures pulls in logging, which a
         # one-worker run never needs, at every process start
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(run_block, tasks))
+            hits = sum(pool.map(run_blocks, [tasks[k::workers] for k in range(workers)]))
     return hits, hits / n

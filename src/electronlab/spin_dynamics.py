@@ -23,7 +23,8 @@ from .errors import ConfigError, DomainError, positive
 
 Vec3 = tuple[float, float, float]
 
-_MAX_STEPS = 1_000_000_000
+# a minute or so at ~1.4 us per RK4 step on a 2-core Xeon VM, like the epr.n trial cap
+_MAX_STEPS = 50_000_000
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
@@ -156,27 +157,39 @@ class Trajectory(abc.Sequence):
         return self.t[k], SpinState((self.ex[k], self.ey[k], self.ez[k]))
 
 
+def schedule(duration: float, dt: float, record_every: int = 1) -> tuple[int, int]:
+    """Step and record counts of the trajectory `integrate` runs.
+
+    round(duration / dt) steps; the records are the initial state, every
+    `record_every`-th step and the final step, 1 + ceil(steps / record_every).
+    """
+    if record_every < 1:
+        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    ratio = duration / dt
+    # clamped first: round() cannot take the infinity of a huge duration over a tiny dt
+    steps = round(min(ratio, _MAX_STEPS + 1))
+    if steps < 1:
+        raise DomainError("duration must cover at least one step")
+    if steps > _MAX_STEPS:
+        raise ConfigError(f"duration / dt = {ratio!r} steps exceed the {_MAX_STEPS} step guard")
+    return steps, 1 + -(-steps // record_every)  # integer ceil, exact at any record_every
+
+
 def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
               record_every: int = 1) -> Trajectory:
     """RK4 trajectory of the spin direction over the ramp.
 
-    The step count is duration/dt rounded to an integer (the step size is
-    adjusted so the final sample lands exactly at t = duration). Every
-    step renormalizes e_s. Records every `record_every`-th step plus the
-    initial and final states, as the float columns of a `Trajectory`.
+    `schedule` sets the step count (the step size is adjusted so the
+    final sample lands exactly at t = duration). Every step renormalizes
+    e_s. Records every `record_every`-th step plus the initial and final
+    states, as the float columns of a `Trajectory`.
 
     Only the final state is checked for unit length. A step that is
     renormalized stays on the unit sphere, and a NaN or infinity in any
     step turns every later state into NaN, so a unit final state means
     every record is unit; otherwise the check raises `DomainError`.
     """
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
-    steps = int(round(ramp.duration / params.dt))
-    if steps < 1:
-        raise DomainError("duration must cover at least one step")
-    if steps > _MAX_STEPS:
-        raise ConfigError(f"{steps} steps exceed the {_MAX_STEPS} step guard")
+    steps, _ = schedule(ramp.duration, params.dt, record_every)
     h = ramp.duration / steps
 
     b, rate, shape = ramp.b_dir, ramp.rate, ramp.shape

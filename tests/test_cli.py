@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electronlab import __version__, cli
+from electronlab import __version__, cli, spin_dynamics
 from electronlab.cli import main
-from electronlab.config import REGISTRY, parse_config
+from electronlab.config import MAX_ROWS, REGISTRY, parse_config
 from electronlab.electron_model import PlaneWaveElectron
 from electronlab.errors import DomainError
 from electronlab.spin_dynamics import LLParams, SpinState, cosine_ramp, integrate, linear_ramp
@@ -339,6 +339,9 @@ REJECTED = [
     (["epr", "--curve", "--step-deg", "1e-300"], "epr.step_deg"),
     (["epr", "--curve", "--step-deg", "1000"], "epr.step_deg"),
     (["sterngerlach", "--dt", "1e-7"], "sterngerlach.dt"),
+    # the step guard: 10**9 steps in 500 001 rows, about 20 minutes of RK4
+    (["sterngerlach", "--dt", "1e-9", "--record-every", "2000"], "step guard"),
+    (["sterngerlach", "--duration", "1e300", "--dt", "1e-300"], "step guard"),
     # checked before the run, so no trajectory is written
     (["sterngerlach", "--threshold", "2"], "sterngerlach.threshold"),
     # the trial cap, checked before any Monte Carlo block runs
@@ -370,6 +373,36 @@ def test_bad_config_file_or_out_path_exits_1_with_one_error_line(argv, fragment,
     assert len(err) == 1 and err[0].startswith("error:")
     assert fragment in err[0]
     assert [p.name for p in tmp_path.rglob("*")] == ["latin1.cfg"]
+
+
+def test_row_cap_compares_the_exact_record_count(monkeypatch, tmp_path, capsys):
+    """Exactly MAX_ROWS records pass the row check, and one more is refused."""
+    counts = []
+
+    def stop(state0, ramp, params, record_every):  # stands in for a 9 s integration
+        counts.append(spin_dynamics.schedule(ramp.duration, params.dt, record_every)[1])
+        raise DomainError("stopped before integrating")
+
+    monkeypatch.setattr(spin_dynamics, "integrate", stop)
+    out = ["--out", str(tmp_path / "out")]
+    # 999 999.4 and 1 999 998.6 steps round to 999 999 and 1 999 999
+    assert main(["sterngerlach", "--dt", "1.00000060000036e-06"] + out) == 1
+    assert main(["sterngerlach", "--duration", "2", "--dt", "1.0000010000005e-06",
+                 "--record-every", "2"] + out) == 1
+    assert counts == [MAX_ROWS, MAX_ROWS]
+    capsys.readouterr()
+    assert main(["sterngerlach", "--dt", "1e-6"] + out) == 1
+    assert counts == [MAX_ROWS, MAX_ROWS]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "sterngerlach.dt" in err[0]
+
+
+def test_config_file_with_a_byte_order_mark(monkeypatch, tmp_path):
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbfseed = 3\n")
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    assert main(["budget", "--config", str(tmp_path / "bom.cfg")]) == 0
+    assert seen[0].seed == 3
 
 
 @pytest.mark.parametrize("key", sorted(k for k, opt in REGISTRY.items() if opt.within))

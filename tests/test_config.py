@@ -57,6 +57,17 @@ class TestFileParsing:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("subcommand = epr\nnot a key value pair\n")
 
+    @pytest.mark.parametrize("text", [
+        # str.splitlines would also break at each of these, inside the comment
+        *(f"seed = 3 # café{c}\nepr.mode = x\n"
+          for c in "\x1c\x1d\x1e\v\f\x85\u2028\u2029"),
+        "seed = 3\r\nepr.mode = x\r\n",
+        "seed = 3\repr.mode = x\r",
+    ])
+    def test_lines_break_only_at_newlines(self, text):
+        with pytest.raises(ConfigError, match="^line 2: 'epr.mode' must be one of"):
+            parse_config(text)
+
     def test_unknown_key_reports_line_and_name(self):
         with pytest.raises(ConfigError, match="line 1.*epr.phase1"):
             parse_config("epr.phase1 = 7\n", ["subcommand=epr"])

@@ -86,6 +86,8 @@ class TestProductLaws:
     @given(multivectors, multivectors)
     def test_matches_oracle_on_random_inputs(self, a, b):
         got = gp(a, b)
+        assert a * b == got
+        assert a * 2.0 == 2.0 * a
         want = ga_oracle.gp_oracle(a.components(), b.components())
         scale = a.norm() * b.norm() + 1.0
         for name in COMPONENTS:
@@ -122,6 +124,7 @@ class TestReverse:
     @given(multivectors)
     def test_involution(self, x):
         assert reverse(reverse(x)) == x
+        assert x.reverse() == reverse(x)
 
     @given(multivectors, multivectors)
     def test_anti_automorphism(self, a, b):
@@ -157,6 +160,7 @@ class TestRotor:
         assert abs(shifted.b12 + r.b12) <= 1e-12
         x = vector(0.3, -0.4, 0.5)
         assert_close(shifted.apply(x), r.apply(x), 1e-12)
+        assert (-r).apply(x) == r.apply(x)  # R and -R are one rotation, exactly
 
     @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1), angles,
            st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5))

@@ -16,6 +16,7 @@ from electronlab.spin_dynamics import (
     ANTIPARALLEL,
     PARALLEL,
     UNRESOLVED,
+    _MAX_STEPS,
     FieldRamp,
     LLParams,
     SpinState,
@@ -25,6 +26,7 @@ from electronlab.spin_dynamics import (
     integrate,
     linear_ramp,
     ll_rhs,
+    schedule,
 )
 
 
@@ -303,6 +305,27 @@ class TestIntegrate:
         ramp = linear_ramp(1.0, 0.1, (1.0, 0.0, 0.0))
         with pytest.raises(DomainError):
             integrate(state0, ramp, LLParams(dt=1.0))
+
+    @pytest.mark.parametrize("every", [1, 2, 3, 7, 10 ** 400])
+    def test_schedule_counts_the_records_integrate_makes(self, every):
+        """Ratios just below, at and just above a half round to the nearest step."""
+        state0 = SpinState((0.0, 0.6, 0.8))
+        dt = 1e-3
+        for n in (1, 2, 3, 6, 13, 50):
+            for frac in (0.0, 0.4, 0.5, 0.6):
+                ramp = linear_ramp(1.3, (n + frac) * dt, (1.0, 0.0, 0.0))
+                steps, records = schedule(ramp.duration, dt, every)
+                assert abs(steps - ramp.duration / dt) <= 0.5
+                assert records == len(integrate(state0, ramp, LLParams(dt=dt), every))
+
+    def test_schedule_step_guard(self):
+        assert schedule(1.0, 1.0 / _MAX_STEPS) == (_MAX_STEPS, _MAX_STEPS + 1)
+        assert schedule(1.0, 1.0 / _MAX_STEPS, 2) == (_MAX_STEPS, _MAX_STEPS // 2 + 1)
+        for duration, dt in ((1.0, 1.0 / (_MAX_STEPS + 1)), (1e300, 1e-300)):  # the last is inf
+            with pytest.raises(ConfigError, match="step guard"):
+                schedule(duration, dt)
+        with pytest.raises(DomainError, match="record_every"):
+            schedule(1.0, 1e-3, 0)
 
 
 def cross(a, b):
