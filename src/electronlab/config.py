@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+from .constants import UNIT_SYSTEMS
 from .errors import ConfigError
 
 SUBCOMMANDS = ("electron", "epr", "sterngerlach", "budget")
@@ -25,65 +26,61 @@ MAX_ROWS = 1_000_000
 @dataclass(frozen=True)
 class Option:
     key: str
-    kind: str                      # int | float | str | vec3 | angles4; floats finite
-    default: Any
+    default: Any                   # its type is the value's: int, finite float(s) or text
     choices: tuple | None = None
     help: str = ""
     within: str | None = None      # "[lo, hi)": a bracket includes its end, a parenthesis not
 
 
 _OPTIONS = [
-    Option("subcommand", "str", None, choices=SUBCOMMANDS),
-    Option("seed", "int", 12345, help="random seed for every sampled quantity"),
-    Option("out", "str", "out", help="output directory for artifacts"),
-    Option("format", "str", "csv", choices=("csv", "json"),
+    Option("subcommand", None, choices=SUBCOMMANDS),
+    Option("seed", 12345, help="random seed for every sampled quantity", within="[0, inf)"),
+    Option("out", "out", help="output directory for artifacts"),
+    Option("format", "csv", choices=("csv", "json"),
            help="tabular artifact format; reports are always JSON"),
 
-    Option("electron.rho0", "float", 1.0, help="mass-density amplitude"),
-    Option("electron.u", "float", 1.0, help="mechanical velocity"),
-    Option("electron.helicity", "str", "+", choices=("+", "-")),
-    Option("electron.zmin", "float", 0.0),
-    Option("electron.zmax", "float", 2.0 * math.pi,
-           help="one wavelength at the default parameters"),
-    Option("electron.points", "int", 256, help="profile samples", within=f"[1, {MAX_ROWS}]"),
-    Option("electron.t", "float", 0.0),
-    Option("electron.units", "str", "atomic", choices=("atomic", "si")),
-    Option("electron.field_split", "float", 0.5,
-           help="fraction of the field energy carried by E"),
+    Option("electron.rho0", 1.0, help="mass-density amplitude"),
+    Option("electron.u", 1.0, help="mechanical velocity"),
+    Option("electron.helicity", "+", choices=("+", "-")),
+    Option("electron.zmin", 0.0),
+    Option("electron.zmax", 2.0 * math.pi, help="one wavelength at the default parameters"),
+    Option("electron.points", 256, help="profile samples", within=f"[1, {MAX_ROWS}]"),
+    Option("electron.t", 0.0),
+    Option("electron.units", "atomic", choices=tuple(UNIT_SYSTEMS)),
+    Option("electron.field_split", 0.5, help="fraction of the field energy carried by E"),
 
-    Option("epr.mode", "str", "curve", choices=("curve", "chsh", "singles")),
-    Option("epr.phi1_deg", "float", 0.0, help="reference analyzer angle"),
-    Option("epr.delta_deg", "float", 0.0, help="source phase difference"),
+    Option("epr.mode", "curve", choices=("curve", "chsh", "singles")),
+    Option("epr.phi1_deg", 0.0, help="reference analyzer angle"),
+    Option("epr.delta_deg", 0.0, help="source phase difference"),
     # round(360 / step) settings, from 1 to MAX_ROWS
-    Option("epr.step_deg", "float", 1.0, help="curve resolution", within=f"[{360 / MAX_ROWS}, 720)"),
-    Option("epr.angles_deg", "angles4", (0.0, 45.0, 22.5, 67.5),
+    Option("epr.step_deg", 1.0, help="curve resolution", within=f"[{360 / MAX_ROWS}, 720)"),
+    Option("epr.angles_deg", (0.0, 45.0, 22.5, 67.5),
            help="phi1, phi1', phi2, phi2' for the CHSH run"),
-    Option("epr.angle_deg", "float", 0.0, help="analyzer angle for singles"),
+    Option("epr.angle_deg", 0.0, help="analyzer angle for singles"),
     # a minute or so at ~1.8e7 trials/s on a 2-core Xeon VM; an unchecked n could take hours
-    Option("epr.n", "int", 1_000_000, help="Monte Carlo trials", within="[1, 1000000000]"),
-    Option("epr.workers", "int", 1),
+    Option("epr.n", 1_000_000, help="Monte Carlo trials", within="[1, 1000000000]"),
+    Option("epr.workers", 1, help="threads for the singles trials", within="[1, inf)"),
 
-    Option("sterngerlach.kappa", "float", 1.0, help="torque coupling"),
-    Option("sterngerlach.u", "vec3", (0.0, 0.0, 1.0), help="electron velocity"),
-    Option("sterngerlach.bdir", "vec3", (1.0, 0.0, 0.0), help="field direction"),
-    Option("sterngerlach.brate", "float", 1.0, help="field ramp rate dB/dt"),
-    Option("sterngerlach.duration", "float", 1.0),
-    Option("sterngerlach.dt", "float", 1e-3),
-    Option("sterngerlach.ramp", "str", "linear", choices=("linear", "cosine")),
-    Option("sterngerlach.es0", "vec3", (0.0, 0.0, 1.0), help="initial spin direction"),
-    Option("sterngerlach.threshold", "float", 0.99, help="deflection cutoff", within="(0, 1)"),
-    Option("sterngerlach.record_every", "int", 1, help="steps per record", within="[1, inf)"),
+    Option("sterngerlach.kappa", 1.0, help="torque coupling"),
+    Option("sterngerlach.u", (0.0, 0.0, 1.0), help="electron velocity"),
+    Option("sterngerlach.bdir", (1.0, 0.0, 0.0), help="field direction"),
+    Option("sterngerlach.brate", 1.0, help="field ramp rate dB/dt"),
+    Option("sterngerlach.duration", 1.0),
+    Option("sterngerlach.dt", 1e-3),
+    Option("sterngerlach.ramp", "linear", choices=("linear", "cosine")),
+    Option("sterngerlach.es0", (0.0, 0.0, 1.0), help="initial spin direction"),
+    Option("sterngerlach.threshold", 0.99, help="deflection cutoff", within="(0, 1)"),
+    Option("sterngerlach.record_every", 1, help="steps per record", within="[1, inf)"),
 
-    Option("budget.band_energy_mev", "float", 80.0),
-    Option("budget.resolution_pm", "float", 20.0),
-    Option("budget.feature_pm", "float", 30.0),
-    Option("budget.error_pm", "float", 0.1),
-    Option("budget.convention", "float", 0.5, choices=(0.5, 1.0)),
+    Option("budget.band_energy_mev", 80.0),
+    Option("budget.resolution_pm", 20.0),
+    Option("budget.feature_pm", 30.0),
+    Option("budget.error_pm", 0.1),
+    Option("budget.convention", 0.5, choices=(0.5, 1.0)),
 ]
 
 REGISTRY = {opt.key: opt for opt in _OPTIONS}
 
-_ARITY = {"vec3": 3, "angles4": 4}   # comma-separated float kinds
 # Unicode's control characters (Cc) and its line and paragraph separators: any of
 # them in `out` would break a `#` line of a CSV, and NUL a path
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
@@ -121,21 +118,21 @@ def _finite(text: str) -> float:
 
 def _parse_value(opt: Option, raw: str, where: str) -> Any:
     text = raw.strip()
+    default = opt.default
     try:
-        if opt.kind == "int":
-            value: Any = int(text)
-        elif opt.kind == "float":
+        if isinstance(default, tuple):
+            value: Any = tuple(_finite(part) for part in text.split(","))
+            if len(value) != len(default):
+                raise ValueError(f"expected {len(default)} values, got {len(value)}")
+        elif isinstance(default, int):
+            value = int(text)
+        elif isinstance(default, float):
             value = _finite(text)
-        elif opt.kind == "str":
+        else:
             value = text
+            text.encode("utf-8")  # a lone surrogate, as Python decodes a non-UTF-8 byte
             if bad := _CONTROL.search(text):
                 raise ValueError(f"control character {bad[0]!r}")
-        elif opt.kind in _ARITY:
-            value = tuple(_finite(part) for part in text.split(","))
-            if len(value) != _ARITY[opt.kind]:
-                raise ValueError(f"expected {_ARITY[opt.kind]} values, got {len(value)}")
-        else:  # pragma: no cover - registry is static
-            raise ValueError(f"unknown kind {opt.kind}")
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for '{opt.key}': {exc}") from None
     if opt.choices is not None and value not in opt.choices:

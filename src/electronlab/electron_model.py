@@ -68,13 +68,8 @@ class PlaneWaveElectron:
             object.__setattr__(self, "mass", self.units.m_e)
         positive(self.mass, "mass")
         hbar = self.units.hbar
-        if self.u == 0.0:
-            object.__setattr__(self, "wavelength", math.inf)
-            object.__setattr__(self, "nu", 0.0)
-            object.__setattr__(self, "E0", 0.0)
-            object.__setattr__(self, "H0", 0.0)
-            return
-        object.__setattr__(self, "wavelength", 2.0 * math.pi * hbar / (self.mass * self.u))
+        object.__setattr__(self, "wavelength",
+                           2.0 * math.pi * hbar / (self.mass * self.u) if self.u else math.inf)
         object.__setattr__(self, "nu", self.mass * self.u**2 / (4.0 * math.pi * hbar))
         w = 0.5 * self.rho0 * self.u**2  # total field-amplitude energy density
         object.__setattr__(self, "E0", math.sqrt(2.0 * self.field_split * w / self.units.eps0))

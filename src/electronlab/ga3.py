@@ -95,6 +95,7 @@ E12 = Multivector3(b12=1.0)
 E123 = Multivector3(p=1.0)
 
 BASIS = (ONE, E1, E2, E3, E23, E31, E12, E123)
+_GRADES = (0, 1, 1, 1, 2, 2, 2, 3)  # the grade of each slot of components(), in BASIS order
 
 
 def _slots(a: Multivector3) -> tuple[complex, ...]:
@@ -115,20 +116,14 @@ def gp(a: Multivector3, b: Multivector3) -> Multivector3:
 
 def grade(a: Multivector3, g: int) -> Multivector3:
     """Project onto grade g; the four projections sum back to the input."""
-    if g == 0:
-        return Multivector3(s=a.s)
-    if g == 1:
-        return Multivector3(v1=a.v1, v2=a.v2, v3=a.v3)
-    if g == 2:
-        return Multivector3(b23=a.b23, b31=a.b31, b12=a.b12)
-    if g == 3:
-        return Multivector3(p=a.p)
-    raise DomainError(f"grade index must be 0..3, got {g!r}")
+    if g not in _GRADES:
+        raise DomainError(f"grade index must be 0..3, got {g!r}")
+    return Multivector3(*(c if k == g else 0.0 for c, k in zip(a.components(), _GRADES)))
 
 
 def reverse(a: Multivector3) -> Multivector3:
     """Reversion: grades 0 and 1 kept, grades 2 and 3 negated."""
-    return Multivector3(a.s, a.v1, a.v2, a.v3, -a.b23, -a.b31, -a.b12, -a.p)
+    return Multivector3(*(-c if k >= 2 else c for c, k in zip(a.components(), _GRADES)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from electronlab import __version__, cli, spin_dynamics
 from electronlab.cli import main
-from electronlab.config import MAX_ROWS, REGISTRY, parse_config
+from electronlab.config import MAX_ROWS, REGISTRY, SUBCOMMANDS, parse_config
 from electronlab.electron_model import PlaneWaveElectron
 from electronlab.errors import DomainError
 from electronlab.spin_dynamics import LLParams, SpinState, cosine_ramp, integrate, linear_ramp
@@ -342,6 +342,9 @@ REJECTED = [
     # the step guard: 10**9 steps in 500 001 rows, about 20 minutes of RK4
     (["sterngerlach", "--dt", "1e-9", "--record-every", "2000"], "step guard"),
     (["sterngerlach", "--duration", "1e300", "--dt", "1e-300"], "step guard"),
+    # the library refuses these only for --singles; the registry, for every mode
+    (["epr", "--curve", "--seed", "-3"], "'seed' must lie in [0, inf)"),
+    (["epr", "--curve", "--workers", "0"], "'epr.workers' must lie in [1, inf)"),
     # checked before the run, so no trajectory is written
     (["sterngerlach", "--threshold", "2"], "sterngerlach.threshold"),
     # the trial cap, checked before any Monte Carlo block runs
@@ -364,7 +367,10 @@ def test_rejected_input_exits_1_with_one_error_line(argv, fragment, tmp_path, ca
     (["epr", "--config", "{tmp}/latin1.cfg", "--out", "{tmp}/out"], "can't decode byte 0xe9"),
     (["budget", "--out", "{tmp}/a\0b"], "control character '\\x00'"),
     (["electron", "--points", "2", "--out", "{tmp}/o\nx"], "control character '\\n'"),
-], ids=["config file not UTF-8", "NUL byte in --out", "line break in --out"])
+    # Python decodes a non-UTF-8 byte of argv, here 0xff, as a lone surrogate
+    (["electron", "--points", "2", "--out", "{tmp}/o\udcff"], "surrogates not allowed"),
+], ids=["config file not UTF-8", "NUL byte in --out", "line break in --out",
+        "non-UTF-8 byte in --out"])
 def test_bad_config_file_or_out_path_exits_1_with_one_error_line(argv, fragment, tmp_path,
                                                                  capsys):
     (tmp_path / "latin1.cfg").write_bytes("epr.mode = chsh  # café\n".encode("latin-1"))
@@ -407,8 +413,9 @@ def test_config_file_with_a_byte_order_mark(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("key", sorted(k for k, opt in REGISTRY.items() if opt.within))
 def test_help_prints_each_declared_interval(key, capsys):
+    prefix = key.partition(".")[0]  # a global key such as seed is a flag of every subcommand
     with pytest.raises(SystemExit) as exc:
-        main([key.partition(".")[0], "--help"])
+        main([prefix if prefix in SUBCOMMANDS else SUBCOMMANDS[0], "--help"])
     assert exc.value.code == 0
     opt = REGISTRY[key]
     assert f"{opt.help} in {opt.within}" in " ".join(capsys.readouterr().out.split())

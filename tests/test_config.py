@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from electronlab.config import REGISTRY, _parse_value, parse_config
+from electronlab.config import REGISTRY, SUBCOMMANDS, _parse_value, parse_config
 from electronlab.errors import ConfigError
 
 
@@ -126,7 +126,18 @@ def test_default_passes_its_own_checks(key):
 
     The subcommand's default, None, means that none is chosen yet."""
     opt = REGISTRY[key]
-    assert _parse_value(opt, _text(opt.default), "default") == opt.default
+    value = _parse_value(opt, _text(opt.default), "default")
+    assert value == opt.default and type(value) is type(opt.default)
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_default_type_is_one_the_parser_derives(key):
+    """_parse_value reads an option's type off its default: a tuple of floats, an int, a
+    float, or else text. A bool would be parsed as an int, so none may be one."""
+    default = REGISTRY[key].default
+    assert not isinstance(default, bool)
+    assert (type(default) in (int, float, str, type(None))
+            or type(default) is tuple and all(type(part) is float for part in default))
 
 
 # The last value inside and the first value outside each finite end of every
@@ -137,6 +148,8 @@ INSIDE = [
     ("epr.n", "1"), ("epr.n", "1000000000"),
     ("sterngerlach.threshold", "5e-324"), ("sterngerlach.threshold", repr(math.nextafter(1.0, 0.0))),
     ("sterngerlach.record_every", "1"), ("sterngerlach.record_every", str(10**400)),  # > max float
+    ("seed", "0"), ("seed", str(10**400)),
+    ("epr.workers", "1"), ("epr.workers", str(10**400)),
 ]
 OUTSIDE = [
     ("electron.points", "0"), ("electron.points", "1000001"),
@@ -144,6 +157,8 @@ OUTSIDE = [
     ("epr.n", "0"), ("epr.n", "1000000001"),
     ("sterngerlach.threshold", "0.0"), ("sterngerlach.threshold", "1.0"),
     ("sterngerlach.record_every", "0"),
+    ("seed", "-1"),
+    ("epr.workers", "0"),
 ]
 
 
@@ -156,15 +171,21 @@ def _case_id(text):
     return text if len(text) < 30 else f"{len(text)}-digit"
 
 
+def _subcommand(key):
+    """The subcommand a key belongs to; a global key such as seed belongs to all of them."""
+    prefix = key.partition(".")[0]
+    return prefix if prefix in SUBCOMMANDS else SUBCOMMANDS[0]
+
+
 @pytest.mark.parametrize("key, text", INSIDE, ids=_case_id)
 def test_value_inside_its_interval_accepted(key, text):
-    cfg = parse_config("", [f"subcommand={key.partition('.')[0]}", f"{key}={text}"])
-    assert cfg.params[key] == type(REGISTRY[key].default)(text)
+    cfg = parse_config("", [f"subcommand={_subcommand(key)}", f"{key}={text}"])
+    assert cfg.resolved()[key] == type(REGISTRY[key].default)(text)
 
 
 @pytest.mark.parametrize("key, text", OUTSIDE, ids=_case_id)
 def test_value_outside_its_interval_refused_from_flag_and_file(key, text):
-    subcommand = key.partition(".")[0]
+    subcommand = _subcommand(key)
     message = rf"'{key}' must lie in {re.escape(REGISTRY[key].within)}, got {re.escape(text)}$"
     with pytest.raises(ConfigError, match="^override: " + message):
         parse_config("", [f"subcommand={subcommand}", f"{key}={text}"])

@@ -13,6 +13,7 @@ from electronlab.electron_model import (
     HELICITIES,
     PROFILE_COLUMNS,
     PlaneWaveElectron,
+    WavefunctionSample,
     profile_rows,
 )
 from electronlab.errors import DomainError, UnsupportedConfigurationError
@@ -53,6 +54,13 @@ class TestDerivedQuantities:
         e = PlaneWaveElectron(rho0=2.5, u=1e6, units=SI_UNITS)
         left = 0.5 * SI_UNITS.eps0 * e.E0**2 + 0.5 * SI_UNITS.mu0 * e.H0**2
         assert left == pytest.approx(0.5 * 2.5 * 1e12, rel=1e-12)
+
+    @pytest.mark.parametrize("u", [0.0, -0.0])
+    def test_at_rest(self, u):
+        still = PlaneWaveElectron(rho0=1.0, u=u)
+        assert still.wavelength == math.inf
+        assert (still.nu, still.E0, still.H0) == (0.0, 0.0, 0.0)
+        assert all(math.copysign(1.0, v) == 1.0 for v in (still.nu, still.E0, still.H0))
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(DomainError):
@@ -246,6 +254,12 @@ class TestWavefunction:
         assert c.psi.s == w.psi.s
         assert c.psi.b12 == -w.psi.b12
         assert c.conj() == w
+
+    @pytest.mark.parametrize("odd", ["v1", "v2", "v3", "p"])
+    def test_odd_part_refused(self, odd):
+        psi = ga3.Multivector3(s=1.0, **{odd: 0.5})
+        with pytest.raises(DomainError, match="must be an even multivector"):
+            WavefunctionSample(psi=psi, z=0.0, t=0.0)
 
     def test_conj_product_sums_density_and_spin(self, e):
         z, t = 1.3, 0.2

@@ -94,6 +94,10 @@ class TestSingleProbability:
     def test_bounded(self, angle, phi0):
         assert 0.0 <= single_probability(angle, "A", phi0=phi0) <= 1.0
 
+    def test_rejects_unknown_side(self):
+        with pytest.raises(DomainError, match="side must be one of"):
+            single_probability(0.0, "C")
+
     def test_average_over_hidden_phase_is_half(self):
         n = 1_000_000
         phases = hidden_phase_samples(n, seed=101)
@@ -331,6 +335,8 @@ class TestMonteCarloSingles:
             monte_carlo_singles(0.0, n=10, seed=-1)
         with pytest.raises(DomainError):
             monte_carlo_singles(0.0, n=10, seed=1, workers=0)
+        with pytest.raises(DomainError, match="side must be one of"):
+            monte_carlo_singles(0.0, "C", n=10, seed=1)
 
 
 class TestHiddenPhase:
@@ -354,6 +360,12 @@ class TestHiddenPhase:
         whole = hidden_phase_samples(70_000, seed=17)
         prefix = hidden_phase_samples(65_536, seed=17)
         assert np.array_equal(whole[:65_536], prefix)
+
+    def test_validation(self):
+        with pytest.raises(DomainError, match="sample count must be >= 1"):
+            hidden_phase_samples(0, seed=1)
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            hidden_phase_samples(10, seed=-1)
 
 
 class TestReduceAngle:

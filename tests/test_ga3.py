@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import struct
 
 import pytest
 from hypothesis import given
@@ -33,6 +34,15 @@ COMPONENTS = ("s", "v1", "v2", "v3", "b23", "b31", "b12", "p")
 
 coeff = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 multivectors = st.builds(Multivector3, *([coeff] * 8))
+# signed zeros, subnormals and infinities as well, for checks that compare bits
+edge_coeff = coeff | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf])
+edge_multivectors = st.builds(Multivector3, *([edge_coeff] * 8))
+# a blade's grade is the number of basis vectors in it, read off the oracle's bitmasks
+SLOT_GRADES = tuple(bin(mask).count("1") for _, mask, _ in ga_oracle.FIELDS)
+
+
+def bits(components) -> bytes:
+    return struct.pack("8d", *components)
 angles = st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi,
                    allow_nan=False, allow_infinity=False)
 
@@ -107,6 +117,12 @@ class TestGrade:
     def test_product_grade_projection(self):
         assert grade(gp(E1, E2), 2) == E12
 
+    @given(edge_multivectors)
+    def test_keeps_its_slots_bit_for_bit(self, x):
+        for g in range(4):
+            want = [c if k == g else 0.0 for c, k in zip(x.components(), SLOT_GRADES)]
+            assert bits(grade(x, g).components()) == bits(want)
+
     @pytest.mark.parametrize("bad", [-1, 4, 17])
     def test_invalid_grade_rejected(self, bad):
         with pytest.raises(DomainError):
@@ -125,6 +141,12 @@ class TestReverse:
     def test_involution(self, x):
         assert reverse(reverse(x)) == x
         assert x.reverse() == reverse(x)
+
+    @given(edge_multivectors)
+    def test_sign_is_that_of_the_blade_reversed_bit_for_bit(self, x):
+        # reversing k basis vectors takes k(k-1)/2 swaps
+        want = [-c if k * (k - 1) // 2 % 2 else c for c, k in zip(x.components(), SLOT_GRADES)]
+        assert bits(reverse(x).components()) == bits(want)
 
     @given(multivectors, multivectors)
     def test_anti_automorphism(self, a, b):
