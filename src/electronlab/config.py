@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from .constants import UNIT_SYSTEMS
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, one_of, within
 
 SUBCOMMANDS = ("electron", "epr", "sterngerlach", "budget")
 # Most rows one run may emit (profile points, curve settings, trajectory samples), checked
@@ -135,14 +135,13 @@ def _parse_value(opt: Option, raw: str, where: str) -> Any:
                 raise ValueError(f"control character {bad[0]!r}")
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for '{opt.key}': {exc}") from None
-    if opt.choices is not None and value not in opt.choices:
-        raise ConfigError(
-            f"{where}: '{opt.key}' must be one of {list(opt.choices)}, got {value!r}")
-    if opt.within is not None:
-        lo, hi = map(float, opt.within[1:-1].split(","))
-        closed_end = value == lo and opt.within[0] == "[" or value == hi and opt.within[-1] == "]"
-        if not (lo < value < hi or closed_end):
-            raise ConfigError(f"{where}: '{opt.key}' must lie in {opt.within}, got {value!r}")
+    try:
+        if opt.choices is not None:
+            one_of(value, opt.choices, f"'{opt.key}'")
+        if opt.within is not None:
+            within(value, opt.within, f"'{opt.key}'")
+    except DomainError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return value
 
 

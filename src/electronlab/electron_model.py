@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import ga3
 from .constants import ATOMIC_UNITS, UnitSystem
-from .errors import DomainError, UnsupportedConfigurationError, positive
+from .errors import DomainError, UnsupportedConfigurationError, one_of, positive, within
 
 HELICITIES = ("plus", "minus")
 
@@ -58,12 +58,9 @@ class PlaneWaveElectron:
 
     def __post_init__(self):
         positive(self.rho0, "rho0")
-        if not 0.0 <= self.u < math.inf:
-            raise DomainError(f"velocity must be non-negative and finite, got {self.u!r}")
-        if self.helicity not in HELICITIES:
-            raise DomainError(f"helicity must be one of {HELICITIES}, got {self.helicity!r}")
-        if not 0.0 < self.field_split < 1.0:
-            raise DomainError(f"field_split must lie in (0, 1), got {self.field_split!r}")
+        within(self.u, "[0, inf)", "velocity")
+        one_of(self.helicity, HELICITIES, "helicity")
+        within(self.field_split, "(0, 1)", "field_split")
         if self.mass is None:
             object.__setattr__(self, "mass", self.units.m_e)
         positive(self.mass, "mass")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import one_of, within
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -93,8 +93,7 @@ def rotor_phase(angle: float, side: str = SIDE_A) -> complex:
     Side B turns by -angle. The phase is the (scalar, e1e2) pair of the
     rotor exp(e1e2 * angle), since e1e2 is the pseudoscalar times e3.
     """
-    if side not in SIDES:
-        raise DomainError(f"side must be one of {SIDES}, got {side!r}")
+    one_of(side, SIDES, "side")
     return cmath.exp(1j * (angle if side == SIDE_A else -angle))
 
 
@@ -104,8 +103,7 @@ def single_probability(angle: float, side: str = SIDE_A, delta: float = 0.0,
 
     cos^2(angle + phi0) at A; the source phase shifts side B's argument.
     """
-    if side not in SIDES:
-        raise DomainError(f"side must be one of {SIDES}, got {side!r}")
+    one_of(side, SIDES, "side")
     arg = angle + phi0 if side == SIDE_A else angle + delta + phi0
     return math.cos(arg) ** 2
 
@@ -145,8 +143,7 @@ def conditional_outcome(known_a: str, pair: AnalyzerPair) -> str:
     Determinate only at differences that are multiples of pi/2 (within
     1e-9 rad): even multiples of pi/2 correlate, odd ones anticorrelate.
     """
-    if known_a not in (PLUS, MINUS):
-        raise DomainError(f"known outcome must be '{PLUS}' or '{MINUS}', got {known_a!r}")
+    one_of(known_a, (PLUS, MINUS), "known outcome")
     r = math.fmod(pair.setting_difference(), math.pi)
     if r < 0.0:
         r += math.pi
@@ -175,10 +172,8 @@ def _block_sizes(n: int) -> list[int]:
 
 def hidden_phase_samples(n: int, seed: int) -> np.ndarray:
     """The uniform initial phases the singles sampler draws, in order."""
-    if n < 1:
-        raise DomainError(f"sample count must be >= 1, got {n!r}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed!r}")
+    within(n, "[1, inf)", "sample count")
+    within(seed, "[0, inf)", "seed")
     parts = [_block_draws(seed, k, np.empty(2 * size))[0] for k, size in enumerate(_block_sizes(n))]
     return np.concatenate(parts)
 
@@ -192,27 +187,24 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
     probability cos^2 of the rotated phase. Returns (hits, hits/n).
     Fixed seed gives bit-identical results at any worker count.
 
-    A trial is a hit when r < cos(x)**2 in float64, with x = base + phi0.
-    A float32 cos**2 screens the trials: the screen is off from the
-    float64 value by at most 2**-21 + 2**-23*|x| + 2**-24 (cosine, cast
-    of x, square), and the band 2**-17 + (|base| + 2pi)*2**-20 is at
-    least 8 times that. Trials whose draw is farther than the band from
-    the screen are decided by it; the rest, including every NaN that a
-    float32 overflow makes, are decided in float64. So the hits are
-    exactly those of the float64 rule. For |base| above about 2**20 rad
-    the band exceeds 1 and every trial is decided in float64.
+    A trial is a hit when r < cos(x)**2 in float64, with x = base + phi0
+    and base the analyzer angle reduced to [0, 2pi), so that x keeps
+    every bit of phi0 that matters at any angle. A float32 cos**2 screens
+    the trials: the screen is off from the float64 value by at most
+    2**-21 + 2**-23*x + 2**-24 (cosine, cast of x, square), and the band
+    2**-17 + (base + 2pi)*2**-20 is at least 8 times that. Trials whose
+    draw is farther than the band from the screen are decided by it; the
+    rest are decided in float64. So the hits are exactly those of the
+    float64 rule.
     """
-    if side not in SIDES:
-        raise DomainError(f"side must be one of {SIDES}, got {side!r}")
-    if n < 1:
-        raise DomainError(f"trial count must be >= 1, got {n!r}")
-    if seed < 0:
-        raise DomainError(f"seed must be non-negative, got {seed!r}")
-    if workers < 1:
-        raise DomainError(f"worker count must be >= 1, got {workers!r}")
-
+    one_of(side, SIDES, "side")
+    within(n, "[1, inf)", "trial count")
+    within(seed, "[0, inf)", "seed")
+    within(workers, "[1, inf)", "worker count")
     base = angle if side == SIDE_A else angle + delta
-    band = 2.0 ** -17 + (abs(base) + TWO_PI) * 2.0 ** -20
+    within(base, "(-inf, inf)", "analyzer angle")  # an infinite one would give no hits
+    base = reduce_angle(base)
+    band = 2.0 ** -17 + (base + TWO_PI) * 2.0 ** -20
 
     def run_blocks(share: list[tuple[int, int]]) -> int:
         # one set of buffers per worker, so that no block frees ~2 MB for the next to refault
@@ -221,13 +213,11 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
         for index, size in share:
             x, r = _block_draws(seed, index, u[:2 * size])
             x += base
-            # x rounded to float32 overflows for huge angles; the NaN cosine lands in `near`
-            with np.errstate(over="ignore", invalid="ignore"):
-                screen = np.cos(x, out=p[:size], dtype=np.float32, casting="same_kind")
-                screen *= screen
+            screen = np.cos(x, out=p[:size], dtype=np.float32, casting="same_kind")
+            screen *= screen
             diff = np.subtract(r, screen, out=d[:size])
             hits += np.count_nonzero(diff < -band)
-            near = np.flatnonzero(~(np.abs(diff, out=diff) > band))
+            near = np.flatnonzero(np.abs(diff, out=diff) <= band)
             hits += np.count_nonzero(r[near] < np.cos(x[near]) ** 2)
         return int(hits)
 

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the positivity check."""
+"""Exception types shared across the package, and the two refusal rules.
 
-import math
+`within` refuses a value outside an interval and `one_of` a value
+outside a set of choices; every bounded argument in the package is
+checked by one of them, so each refusal reads the same way.
+"""
 
 
 class ElectronLabError(Exception):
@@ -19,11 +22,24 @@ class ConfigError(ElectronLabError, ValueError):
     """A run configuration is malformed, unknown, or of the wrong type."""
 
 
-def positive(value: float, name: str) -> None:
-    """Raise DomainError unless `value` is positive and finite.
+def within(value, interval: str, name: str) -> None:
+    """Raise DomainError unless `value` lies in `interval`, written "[lo, hi)".
 
-    Written as one negated chained comparison so that NaN, which fails
-    every comparison, is rejected along with zero, negatives and infinities.
+    A bracket includes its end and a parenthesis excludes it; an end may
+    be `inf`. NaN fails every comparison, so it lies in no interval.
     """
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    lo, hi = map(float, interval[1:-1].split(","))
+    if not ((lo < value or value == lo and interval[0] == "[")
+            and (value < hi or value == hi and interval[-1] == "]")):
+        raise DomainError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def one_of(value, choices, name: str) -> None:
+    """Raise DomainError unless `value` is one of `choices`."""
+    if value not in choices:
+        raise DomainError(f"{name} must be one of {list(choices)}, got {value!r}")
+
+
+def positive(value: float, name: str) -> None:
+    """Raise DomainError unless `value` is positive and finite."""
+    within(value, "(0, inf)", name)

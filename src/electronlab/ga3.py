@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, one_of
 
 _UNIT_TOL = 1e-12
 
@@ -116,8 +116,7 @@ def gp(a: Multivector3, b: Multivector3) -> Multivector3:
 
 def grade(a: Multivector3, g: int) -> Multivector3:
     """Project onto grade g; the four projections sum back to the input."""
-    if g not in _GRADES:
-        raise DomainError(f"grade index must be 0..3, got {g!r}")
+    one_of(g, range(4), "grade index")
     return Multivector3(*(c if k == g else 0.0 for c, k in zip(a.components(), _GRADES)))
 
 

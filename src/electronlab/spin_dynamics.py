@@ -19,7 +19,7 @@ from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ConfigError, DomainError, positive
+from .errors import ConfigError, DomainError, positive, within
 
 Vec3 = tuple[float, float, float]
 
@@ -73,8 +73,7 @@ class FieldRamp:
         object.__setattr__(self, "b_dir", tuple(float(c) for c in self.b_dir))
         if not abs(_norm(self.b_dir) - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError("field direction must be unit length")
-        if not math.isfinite(self.rate):
-            raise DomainError(f"rate must be finite, got {self.rate!r}")
+        within(self.rate, "(-inf, inf)", "rate")
         positive(self.duration, "duration")
 
     def b_rate(self, t: float) -> Vec3:
@@ -119,10 +118,9 @@ class LLParams:
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(float(c) for c in self.u))
         if not all(map(math.isfinite, self.u)):
-            raise DomainError(f"velocity must be finite, got {self.u!r}")
+            raise DomainError(f"velocity must have finite components, got {self.u!r}")
         positive(self.dt, "dt")
-        if not math.isfinite(self.kappa):
-            raise DomainError(f"kappa must be finite, got {self.kappa!r}")
+        within(self.kappa, "(-inf, inf)", "kappa")
 
 
 def _precession(params: LLParams, dbdt: Sequence[float]) -> Vec3:
@@ -163,8 +161,7 @@ def schedule(duration: float, dt: float, record_every: int = 1) -> tuple[int, in
     round(duration / dt) steps; the records are the initial state, every
     `record_every`-th step and the final step, 1 + ceil(steps / record_every).
     """
-    if record_every < 1:
-        raise DomainError(f"record_every must be >= 1, got {record_every!r}")
+    within(record_every, "[1, inf)", "record_every")
     ratio = duration / dt
     # clamped first: round() cannot take the infinity of a huge duration over a tiny dt
     steps = round(min(ratio, _MAX_STEPS + 1))
@@ -245,8 +242,7 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
 
 def classify_deflection(final: SpinState, b_dir: Sequence[float], threshold: float) -> str:
     """Sign of the deflection a field gradient would impose on this spin."""
-    if not 0.0 < threshold < 1.0:
-        raise DomainError(f"threshold must lie in (0, 1), got {threshold!r}")
+    within(threshold, "(0, 1)", "threshold")
     alignment = sum(a * b for a, b in zip(final.e_s, _unit(b_dir)))
     if alignment > threshold:
         return PARALLEL

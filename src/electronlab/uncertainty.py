@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import math
 
 from .constants import EV, HBAR, M_E, PM
-from .errors import DomainError, positive
+from .errors import positive, within
 
 DEFAULT_CONVENTION = 0.5
 
@@ -41,8 +41,7 @@ def position_uncertainty(dp: float, convention_factor: float = DEFAULT_CONVENTIO
 def relative_feature_error(feature_height_pm: float, height_error_pm: float) -> float:
     """Height error over feature height, dimensionless."""
     positive(feature_height_pm, "feature height")
-    if not 0.0 <= height_error_pm < math.inf:
-        raise DomainError(f"height error must be non-negative and finite, got {height_error_pm!r}")
+    within(height_error_pm, "[0, inf)", "height error")
     return height_error_pm / feature_height_pm
 
 

@@ -328,7 +328,7 @@ REJECTED = [
     (["sterngerlach", "--dt", "nan"], "sterngerlach.dt"),
     (["sterngerlach", "--duration", "inf"], "sterngerlach.duration"),
     # a zero-length cosine ramp is refused as the linear one is
-    (["sterngerlach", "--duration", "0", "--ramp", "cosine"], "duration must be positive"),
+    (["sterngerlach", "--duration", "0", "--ramp", "cosine"], "duration must lie in (0, inf)"),
     # finite inputs whose results overflow
     (["sterngerlach", "--kappa", "1e308", "--brate", "1e308"], "non-finite"),
     (["electron", "--rho0", "1e300", "--u", "1e300", "--points", "2"], "range"),

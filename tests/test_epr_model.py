@@ -48,8 +48,8 @@ def float64_blocks(n, seed):
 
 
 def float64_hits(angle, side, delta, n, seed):
-    """The singles hit rule, all in float64, block by block."""
-    base = angle if side == "A" else angle + delta
+    """The singles hit rule, all in float64, block by block, at the reduced angle."""
+    base = reduce_angle(angle if side == "A" else angle + delta)
     return sum(int(np.count_nonzero(r < np.cos(base + phi0) ** 2))
                for phi0, r in float64_blocks(n, seed))
 
@@ -316,8 +316,8 @@ class TestMonteCarloSingles:
         b = monte_carlo_singles(0.9, side="A", n=10_000, seed=3)
         assert a == b
 
-    # 1e3 puts about 130 trials per block in the float64 band; at 1e300
-    # the band exceeds 1 and float32 overflows, which must stay silent
+    # both sides reduce the angle to [0, 2pi) first, so -1e3 and 1e300 are
+    # decided like any small angle; a float warning from either fails the test
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("angle", [0.0, math.pi / 4.0, 1e3, -1e3, 1e300])
     @pytest.mark.parametrize("n", [1, 65_535, 65_537, 3 * 65_536 + 5])
@@ -327,6 +327,14 @@ class TestMonteCarloSingles:
             hits = float64_hits(angle, side, delta, n, seed)
             assert monte_carlo_singles(angle, side, delta, n=n, seed=seed,
                                        workers=workers) == (hits, hits / n)
+
+    # without the reduction, x = base + phi0 rounds phi0 to ulp(base): the CLI
+    # read 0.460 at 1e18 degrees, 0.906 at 1e20 and 0.542 at 1e200
+    @pytest.mark.parametrize("degrees", [1e18, -1e18, 1e20, 1e200])
+    def test_rate_near_half_at_huge_angles(self, degrees):
+        n = 1_000_000
+        _, rate = monte_carlo_singles(math.radians(degrees), n=n, seed=12345)
+        assert abs(rate - 0.5) <= 6.0 * math.sqrt(0.25 / n)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -362,9 +370,9 @@ class TestHiddenPhase:
         assert np.array_equal(whole[:65_536], prefix)
 
     def test_validation(self):
-        with pytest.raises(DomainError, match="sample count must be >= 1"):
+        with pytest.raises(DomainError, match=r"sample count must lie in \[1, inf\)"):
             hidden_phase_samples(0, seed=1)
-        with pytest.raises(DomainError, match="seed must be non-negative"):
+        with pytest.raises(DomainError, match=r"seed must lie in \[0, inf\)"):
             hidden_phase_samples(10, seed=-1)
 
 

@@ -1,0 +1,163 @@
+"""The two refusal rules, `within` and `one_of`, and every library bound that uses them."""
+
+import math
+
+import pytest
+
+from electronlab import ga3
+from electronlab.config import parse_config
+from electronlab.electron_model import HELICITIES, PlaneWaveElectron
+from electronlab.epr_model import (
+    MINUS,
+    PLUS,
+    SIDES,
+    AnalyzerPair,
+    conditional_outcome,
+    hidden_phase_samples,
+    monte_carlo_singles,
+    rotor_phase,
+    single_probability,
+)
+from electronlab.errors import ConfigError, DomainError, one_of, positive, within
+from electronlab.spin_dynamics import FieldRamp, LLParams, SpinState, classify_deflection, schedule
+from electronlab.uncertainty import relative_feature_error
+
+BIG = 1.7976931348623157e308           # the largest double
+TINY = 5e-324                          # the smallest positive double
+BELOW_ONE = math.nextafter(1.0, 0.0)
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+INF, NAN = math.inf, math.nan
+
+
+def refusal(name, bound, value):
+    """The one message of each rule: `bound` is an interval string or the choices."""
+    if isinstance(bound, str):
+        return f"{name} must lie in {bound}, got {value!r}"
+    return f"{name} must be one of {list(bound)}, got {value!r}"
+
+
+class TestWithin:
+    @pytest.mark.parametrize("value, interval", [
+        (0.0, "[0, 1]"), (1.0, "[0, 1]"), (0.5, "(0, 1)"),
+        (-0.0, "[0, 1)"), (0.0, "(-1, 0]"), (-0.0, "(-1, 0]"),
+        (-BIG, "(-inf, inf)"), (BIG, "(-inf, inf)"), (INF, "[0, inf]"),
+        (10**400, "[1, inf)"), (1, "[1, 1000000]"), (1_000_000, "[1, 1000000]"),
+        (360 / 1_000_000, "[0.00036, 720)"),
+        (True, "[1, 1]"),  # a bool is the int 1 or 0
+    ])
+    def test_inside(self, value, interval):
+        within(value, interval, "x")
+
+    @pytest.mark.parametrize("value, interval", [
+        (0.0, "(0, 1)"), (1.0, "(0, 1)"), (-TINY, "[0, 1]"), (ABOVE_ONE, "[0, 1]"),
+        (-0.0, "(0, 1)"), (0.0, "(-1, 0)"), (-0.0, "(-1, 0)"),
+        (-INF, "(-inf, inf)"), (INF, "(-inf, inf)"), (INF, "[0, inf)"),
+        (NAN, "(-inf, inf)"), (NAN, "[0, inf]"),
+        (-10**400, "[1, inf)"), (0, "[1, inf)"), (1_000_001, "[1, 1000000]"),
+        (720.0, "[0.00036, 720)"),
+        (True, "(1, inf)"), (False, "[1, inf)"),
+    ])
+    def test_outside(self, value, interval):
+        with pytest.raises(DomainError) as info:
+            within(value, interval, "x")
+        assert str(info.value) == refusal("x", interval, value)
+
+    def test_message(self):
+        with pytest.raises(DomainError, match=r"^rate must lie in \(-inf, inf\), got nan$"):
+            within(NAN, "(-inf, inf)", "rate")
+
+    def test_positive_is_the_open_half_line(self):
+        positive(TINY, "dt")
+        with pytest.raises(DomainError, match=r"^dt must lie in \(0, inf\), got -0\.0$"):
+            positive(-0.0, "dt")
+
+
+class TestOneOf:
+    @pytest.mark.parametrize("value, choices", [
+        ("plus", HELICITIES), ("minus", HELICITIES), (0, range(4)), (3, range(4)),
+        (True, range(4)), (1.0, (0.5, 1.0)),
+    ])
+    def test_inside(self, value, choices):
+        one_of(value, choices, "x")
+
+    @pytest.mark.parametrize("value, choices", [
+        ("Plus", HELICITIES), ("", HELICITIES), (-1, range(4)), (4, range(4)),
+        (1.5, range(4)), ("1", range(4)), (NAN, (0.5, 1.0)),
+    ])
+    def test_outside(self, value, choices):
+        with pytest.raises(DomainError) as info:
+            one_of(value, choices, "x")
+        assert str(info.value) == refusal("x", choices, value)
+
+    def test_message(self):
+        with pytest.raises(DomainError, match=r"^helicity must be one of \['plus', 'minus'\], got '\+'$"):
+            one_of("+", HELICITIES, "helicity")
+
+
+def _electron(**kw):
+    return PlaneWaveElectron(**{"rho0": 1.0, "u": 1.0, **kw})
+
+
+UP = SpinState((0.0, 0.0, 1.0))
+
+# (name, interval or choices, call, last values inside, first values outside); an
+# infinite end has no last value inside, so only a finite end gives one
+SITES = [
+    ("rho0", "(0, inf)", lambda v: _electron(rho0=v), [TINY], [0.0, -0.0, INF, NAN]),
+    ("velocity", "[0, inf)", lambda v: _electron(u=v), [0.0, -0.0], [-TINY, INF, NAN]),
+    ("helicity", HELICITIES, lambda v: _electron(helicity=v), ["plus", "minus"], ["+", "PLUS"]),
+    ("field_split", "(0, 1)", lambda v: _electron(field_split=v), [TINY, BELOW_ONE],
+     [0.0, 1.0, NAN]),
+    ("rate", "(-inf, inf)", lambda v: FieldRamp((1.0, 0.0, 0.0), v, 1.0, lambda t: 1.0),
+     [-BIG, BIG], [-INF, INF, NAN]),
+    ("kappa", "(-inf, inf)", lambda v: LLParams(kappa=v), [-BIG, BIG], [-INF, INF, NAN]),
+    ("record_every", "[1, inf)", lambda v: schedule(1.0, 1e-3, v), [1, 10**400], [0, -1]),
+    ("threshold", "(0, 1)", lambda v: classify_deflection(UP, (0.0, 0.0, 1.0), v),
+     [TINY, BELOW_ONE], [0.0, 1.0, NAN]),
+    ("side", SIDES, lambda v: rotor_phase(0.0, v), ["A", "B"], ["C", "a"]),
+    ("side", SIDES, lambda v: single_probability(0.0, v), ["A", "B"], ["C", "a"]),
+    ("side", SIDES, lambda v: monte_carlo_singles(0.0, v, n=1, seed=0), ["A", "B"], ["C"]),
+    ("known outcome", (PLUS, MINUS), lambda v: conditional_outcome(v, AnalyzerPair(0.0, 0.0)),
+     [PLUS, MINUS], ["undetermined", "+"]),
+    ("sample count", "[1, inf)", lambda v: hidden_phase_samples(v, seed=0), [1], [0]),
+    ("seed", "[0, inf)", lambda v: hidden_phase_samples(1, seed=v), [0], [-1]),
+    ("trial count", "[1, inf)", lambda v: monte_carlo_singles(0.0, n=v, seed=0), [1], [0]),
+    ("seed", "[0, inf)", lambda v: monte_carlo_singles(0.0, n=1, seed=v), [0], [-1]),
+    ("worker count", "[1, inf)", lambda v: monte_carlo_singles(0.0, n=1, seed=0, workers=v),
+     [1, 10**400], [0]),
+    ("analyzer angle", "(-inf, inf)", lambda v: monte_carlo_singles(v, n=1, seed=0),
+     [-BIG, BIG], [-INF, INF, NAN]),
+    ("height error", "[0, inf)", lambda v: relative_feature_error(30.0, v), [0.0, -0.0],
+     [-TINY, INF, NAN]),
+    ("grade index", range(4), lambda v: ga3.grade(ga3.Multivector3(1.0), v), [0, 3],
+     [-1, 4, 1.5]),
+]
+
+
+INSIDE = [pytest.param(call, value, id=f"{name}={value!r:.12}")
+          for name, _, call, inside, _ in SITES for value in inside]
+OUTSIDE = [pytest.param(call, name, bound, value, id=f"{name}={value!r:.12}")
+           for name, bound, call, _, outside in SITES for value in outside]
+
+
+@pytest.mark.parametrize("call, value", INSIDE)
+def test_last_value_inside_is_accepted(call, value):
+    call(value)
+
+
+@pytest.mark.parametrize("call, name, bound, value", OUTSIDE)
+def test_first_value_outside_is_refused(call, name, bound, value):
+    with pytest.raises(DomainError) as info:
+        call(value)
+    assert str(info.value) == refusal(name, bound, value)
+
+
+def test_an_angle_that_overflows_with_the_source_phase_is_refused():
+    with pytest.raises(DomainError, match=r"^analyzer angle must lie in \(-inf, inf\), got inf$"):
+        monte_carlo_singles(BIG, "B", delta=BIG, n=1, seed=0)
+
+
+def test_config_prefixes_the_same_message():
+    with pytest.raises(ConfigError) as info:
+        parse_config("", ["subcommand=electron", "electron.points=0"])
+    assert str(info.value) == "override: 'electron.points' must lie in [1, 1000000], got 0"
