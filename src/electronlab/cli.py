@@ -17,7 +17,7 @@ import json
 import math
 import re
 import sys
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -60,6 +60,9 @@ def _write(path: Path, text: str):
     print(f"wrote {path}")
 
 
+_CHUNK_ROWS = 1024  # rows encoded per pass; only one chunk's cell tokens are alive at once
+
+
 def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **header):
     """Tabular artifact in the configured format (CSV gets a JSON mirror).
 
@@ -67,24 +70,42 @@ def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **heade
     entries go into the JSON between the metadata and the table. Both
     texts are built before any file is written, so a rejected run writes
     no file.
+
+    Memory: rows are encoded `_CHUNK_ROWS` at a time, so besides what
+    `rows` holds the writer keeps one chunk of cell tokens and the two
+    texts, each as a list of per-chunk pieces that is joined once, just
+    before its write.
     """
     text = _json_text(config, **header, columns=list(columns), rows=[])
-    # one pass of json's C encoder writes each cell as its repr and rejects NaN
-    # and infinity; both files are built from these tokens
-    encoded = _strict_json(list(chain.from_iterable(rows)))[1:-1]
-    tokens = encoded.split(", ") if encoded else []
-    if tokens:
-        # json's indent=2 layout; "rows" is the last key, so the text ends in `[]\n}\n`
-        fields = ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
-        item = "    {\n" + fields + "\n    }"
-        body = ",\n".join([item] * (len(tokens) // len(columns))) % tuple(tokens)
-        text = text[:-len("[]\n}\n")] + "[\n" + body + "\n  ]\n}\n"
+    # json's indent=2 layout; "rows" is the last key, so the text ends in `[]\n}\n`
+    fields = ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
+    item = "    {\n" + fields + "\n    }"
+    line = ",".join(["%s"] * len(columns))
+    json_parts = [text[:-len("[]\n}\n")] + "[\n"]
+    csv_parts = [f"# version = {__version__}\n"]
+    csv_parts += [f"# {key} = {_fmt(value)}\n" for key, value in config.resolved().items()]
+    csv_parts.append(",".join(columns) + "\n")
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        # one pass of json's C encoder writes each cell as its repr and rejects
+        # NaN and infinity; both files are built from these tokens
+        tokens = tuple(_strict_json(list(chain.from_iterable(chunk)))[1:-1].split(", "))
+        json_parts += (",\n".join([item] * len(chunk)) % tokens, ",\n")
+        if config.format == "csv":
+            csv_parts.append("\n".join([line] * len(chunk)) % tokens + "\n")
+    if len(json_parts) > 1:
+        json_parts[-1] = "\n  ]\n}\n"  # in place of the separator after the last chunk
+    else:
+        json_parts = [text]
+    # each list is dropped once joined and each text once written, so at most
+    # one whole text is alive, beside the bytes its write encodes
     if config.format == "csv":
-        lines = [f"# version = {__version__}"]
-        lines += [f"# {key} = {_fmt(value)}" for key, value in config.resolved().items()]
-        lines.append(",".join(columns))
-        lines += map(",".join, zip(*[iter(tokens)] * len(columns)))
-        _write(out / f"{name}.csv", "\n".join(lines) + "\n")
+        text = "".join(csv_parts)
+        del csv_parts
+        _write(out / f"{name}.csv", text)
+        del text
+    text = "".join(json_parts)
+    del json_parts
     _write(out / f"{name}.json", text)
 
 
@@ -107,7 +128,8 @@ def _run_electron(config: RunConfig, out: Path) -> int:
     else:
         step = (zmax - zmin) / (points - 1)
         zs = [zmin + i * step for i in range(points)]
-    # only the map holds the row dicts, so they are freed once the writer has read them
+    # profile_rows returns a list, and the map's iterator keeps it and every row
+    # dict in it alive until the writer has read the last row
     rows = map(itemgetter(*PROFILE_COLUMNS), profile_rows(electron, zs, t=p["electron.t"]))
 
     _write_table(out, "electron_profile", PROFILE_COLUMNS, rows, config,

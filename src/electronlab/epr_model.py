@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,13 @@ _HALF_PI_TOL = 1e-9       # exact-multiple detection for determinate settings
 _BLOCK = 1 << 16          # trials per seeded Monte Carlo block
 
 TWO_PI = 2.0 * math.pi
+# cos(2 * difference) must stay finite, so a setting difference lies in half the double range
+_DIFFERENCES = f"[{-sys.float_info.max / 2!r}, {sys.float_info.max / 2!r}]"
 
 
 def reduce_angle(angle: float) -> float:
     """Map an angle to [0, 2pi) for reporting; the physics is 2pi-periodic."""
+    within(angle, "(-inf, inf)", "angle")
     reduced = math.fmod(angle, TWO_PI)
     if reduced < 0.0:
         reduced += TWO_PI
@@ -63,8 +67,14 @@ class AnalyzerPair:
     delta: float = 0.0
 
     def setting_difference(self) -> float:
-        """Effective difference with the source phase folded into side B."""
-        return self.phi1 - self.phi2 - self.delta
+        """Effective difference with the source phase folded into side B.
+
+        Every coincidence quantity reads its angles through this, so a
+        non-finite angle, or a difference too large to double, is refused.
+        """
+        difference = self.phi1 - self.phi2 - self.delta
+        within(difference, _DIFFERENCES, "setting difference")
+        return difference
 
 
 @dataclass(frozen=True)

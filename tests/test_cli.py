@@ -6,6 +6,7 @@ import json
 import math
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from electronlab import __version__, cli, spin_dynamics
 from electronlab.cli import main
 from electronlab.config import MAX_ROWS, REGISTRY, SUBCOMMANDS, parse_config
-from electronlab.electron_model import PlaneWaveElectron
+from electronlab.electron_model import PlaneWaveElectron, profile_rows
 from electronlab.errors import DomainError
 from electronlab.spin_dynamics import LLParams, SpinState, cosine_ramp, integrate, linear_ramp
 
@@ -551,3 +552,60 @@ def test_table_writer_rejects_a_non_finite_cell_before_writing(fmt, table, bad, 
         with pytest.raises(DomainError):
             _write_table(out, columns, rows, fmt)
         assert not list(Path(out).iterdir())
+
+
+CHUNK = cli._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("width", [2, 8])
+@pytest.mark.parametrize("count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_table_writer_across_chunk_boundaries(count, width, tmp_path):
+    columns = tuple(f"c{i}" for i in range(width))
+    rows = [tuple((-1) ** i * (r + 1) / (i + 3) for i in range(width)) for r in range(count)]
+    config = _write_table(tmp_path, columns, iter(rows), "csv")
+    expected_json, expected_csv = table_texts(config, columns, rows, wavelength=1.5)
+    assert (tmp_path / "table.json").read_text(encoding="utf-8") == expected_json
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == expected_csv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_non_finite_cell_in_the_last_chunk_refuses_the_whole_table(fmt, tmp_path):
+    rows = [(float(r), 0.5) for r in range(2 * CHUNK + 1)]
+    rows[-1] = (rows[-1][0], math.inf)
+    with pytest.raises(DomainError):
+        _write_table(tmp_path / "out", ("a", "b"), rows, fmt)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_finite_profile_cell_in_the_last_chunk_exits_1(monkeypatch, tmp_path, capsys):
+    def last_rho_inf(*args, **kwargs):
+        rows = profile_rows(*args, **kwargs)
+        rows[-1]["rho"] = math.inf
+        return rows
+
+    monkeypatch.setattr(cli, "profile_rows", last_rho_inf)
+    out = tmp_path / "out"
+    assert main(["electron", "--points", str(2 * CHUNK + 1), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
+    assert not out.exists()
+
+
+def test_table_writer_heap_peak_stays_within_2_5_times_the_bytes_written(tmp_path):
+    """Chunked encoding peaks at 1.4 to 1.5 times the bytes written from 10 000 rows up.
+
+    Holding every cell token of the table at once peaks at about 4.8 times
+    at any size, so 10 000 rows tell the two apart as well as 50 000 do,
+    in a fifth of the time that tracemalloc's per-allocation hook takes.
+    """
+    rows = [tuple((r + 1) / (i + 3) for i in range(5)) for r in range(10_000)]
+    config = parse_config("", ["subcommand=electron", "format=csv", f"out={tmp_path}"])
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._write_table(tmp_path, "table", ("a", "b", "c", "d", "e"), rows, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    written = sum(path.stat().st_size for path in tmp_path.iterdir())
+    assert peak <= 2.5 * written, (peak, written)

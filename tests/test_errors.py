@@ -12,9 +12,12 @@ from electronlab.epr_model import (
     PLUS,
     SIDES,
     AnalyzerPair,
+    coincidence_probability,
     conditional_outcome,
+    expectation,
     hidden_phase_samples,
     monte_carlo_singles,
+    reduce_angle,
     rotor_phase,
     single_probability,
 )
@@ -27,6 +30,9 @@ TINY = 5e-324                          # the smallest positive double
 BELOW_ONE = math.nextafter(1.0, 0.0)
 ABOVE_ONE = math.nextafter(1.0, 2.0)
 INF, NAN = math.inf, math.nan
+HALF = BIG / 2                         # the largest setting difference whose double is finite
+ABOVE_HALF = math.nextafter(HALF, INF)
+DIFFERENCES = f"[{-HALF!r}, {HALF!r}]"
 
 
 def refusal(name, bound, value):
@@ -127,6 +133,13 @@ SITES = [
      [1, 10**400], [0]),
     ("analyzer angle", "(-inf, inf)", lambda v: monte_carlo_singles(v, n=1, seed=0),
      [-BIG, BIG], [-INF, INF, NAN]),
+    ("angle", "(-inf, inf)", reduce_angle, [-BIG, BIG], [-INF, INF, NAN]),
+    ("setting difference", DIFFERENCES, lambda v: expectation(AnalyzerPair(v, 0.0)),
+     [-HALF, HALF], [-ABOVE_HALF, ABOVE_HALF, -INF, INF, NAN]),
+    ("setting difference", DIFFERENCES, lambda v: coincidence_probability(AnalyzerPair(v, 0.0)),
+     [-HALF, HALF], [-ABOVE_HALF, ABOVE_HALF, -INF, INF, NAN]),
+    ("setting difference", DIFFERENCES, lambda v: conditional_outcome(PLUS, AnalyzerPair(v, 0.0)),
+     [-HALF, HALF], [-ABOVE_HALF, ABOVE_HALF, -INF, INF, NAN]),
     ("height error", "[0, inf)", lambda v: relative_feature_error(30.0, v), [0.0, -0.0],
      [-TINY, INF, NAN]),
     ("grade index", range(4), lambda v: ga3.grade(ga3.Multivector3(1.0), v), [0, 3],
@@ -155,6 +168,11 @@ def test_first_value_outside_is_refused(call, name, bound, value):
 def test_an_angle_that_overflows_with_the_source_phase_is_refused():
     with pytest.raises(DomainError, match=r"^analyzer angle must lie in \(-inf, inf\), got inf$"):
         monte_carlo_singles(BIG, "B", delta=BIG, n=1, seed=0)
+
+
+def test_finite_angles_whose_difference_overflows_are_refused():
+    with pytest.raises(DomainError, match=r"^setting difference must lie in .*, got inf$"):
+        expectation(AnalyzerPair(BIG, -BIG))
 
 
 def test_config_prefixes_the_same_message():
