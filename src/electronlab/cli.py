@@ -17,8 +17,8 @@ import json
 import math
 import re
 import sys
+from array import array
 from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 
 from . import __version__, epr_model, spin_dynamics
@@ -78,7 +78,8 @@ def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **heade
     """
     text = _json_text(config, **header, columns=list(columns), rows=[])
     # json's indent=2 layout; "rows" is the last key, so the text ends in `[]\n}\n`
-    fields = ",\n".join(f"      {json.dumps(c)}: %s" for c in columns)
+    # a `%` in a column name is doubled, so the template reads it as text
+    fields = ",\n".join(f"      {json.dumps(c).replace('%', '%%')}: %s" for c in columns)
     item = "    {\n" + fields + "\n    }"
     line = ",".join(["%s"] * len(columns))
     json_parts = [text[:-len("[]\n}\n")] + "[\n"]
@@ -124,15 +125,14 @@ def _run_electron(config: RunConfig, out: Path) -> int:
         field_split=p["electron.field_split"],
     )
     if points == 1:
-        zs = [zmin]
+        zs = array("d", [zmin])
     else:
         step = (zmax - zmin) / (points - 1)
-        zs = [zmin + i * step for i in range(points)]
-    # profile_rows returns a list, and the map's iterator keeps it and every row
-    # dict in it alive until the writer has read the last row
-    rows = map(itemgetter(*PROFILE_COLUMNS), profile_rows(electron, zs, t=p["electron.t"]))
-
-    _write_table(out, "electron_profile", PROFILE_COLUMNS, rows, config,
+        zs = array("d", (zmin + i * step for i in range(points)))
+    profile = profile_rows(electron, zs, t=p["electron.t"])
+    # the writer reads the eight packed columns a row tuple at a time, and drops
+    # each chunk's tuples once they are encoded
+    _write_table(out, "electron_profile", PROFILE_COLUMNS, zip(*profile.columns), config,
                  wavelength=electron.wavelength, nu=electron.nu, E0=electron.E0,
                  H0=electron.H0, cohesive_potential_ev=COHESIVE_POTENTIAL_EV)
     print(f"electron profile: {len(zs)} samples, wavelength = {_fmt(electron.wavelength)}")
@@ -149,13 +149,14 @@ def _run_epr(config: RunConfig, out: Path) -> int:
         phi1 = math.radians(p["epr.phi1_deg"])
         step = p["epr.step_deg"]
         count = int(round(360.0 / step))
-        rows = []
+        phis, es = array("d"), array("d")
         for i in range(count):
             phi_deg = i * step
-            pair = epr_model.AnalyzerPair(phi1, phi1 + math.radians(phi_deg), delta)
-            rows.append((phi_deg, epr_model.expectation(pair)))
-        _write_table(out, "epr_curve", ("phi_deg", "E"), rows, config)
-        print(f"correlation curve: {len(rows)} settings")
+            phis.append(phi_deg)
+            es.append(epr_model.expectation(
+                epr_model.AnalyzerPair(phi1, phi1 + math.radians(phi_deg), delta)))
+        _write_table(out, "epr_curve", ("phi_deg", "E"), zip(phis, es), config)
+        print(f"correlation curve: {len(phis)} settings")
         return 0
 
     if mode == "chsh":
@@ -205,7 +206,7 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
 
     bx, by, bz = ramp.b_dir
     t, ex, ey, ez = trajectory.t, trajectory.ex, trajectory.ey, trajectory.ez
-    dots = [x * bx + y * by + z * bz for x, y, z in zip(ex, ey, ez)]
+    dots = array("d", (x * bx + y * by + z * bz for x, y, z in zip(ex, ey, ez)))
     _write_table(out, "sterngerlach_trajectory", ("t", "ex", "ey", "ez", "dot_B"),
                  zip(t, ex, ey, ez, dots), config)
 

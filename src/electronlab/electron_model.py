@@ -23,6 +23,8 @@ spin stays the geometric product of the fields.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import abc
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -213,7 +215,29 @@ class WavefunctionSample:
         return ga3.gp(ga3.reverse(self.psi), self.psi)
 
 
-def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> list[dict]:
+class Profile(abc.Sequence):
+    """The samples `profile_rows` computed, as eight `array('d')` columns.
+
+    `columns` holds them in `PROFILE_COLUMNS` order, 8 B a cell and no
+    Python object per point. Row k is a dict keyed by `PROFILE_COLUMNS`,
+    built when it is read.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple[array, ...]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        return dict(zip(PROFILE_COLUMNS, [column[k] for column in self.columns]))
+
+
+def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> Profile:
     """Sample the standard profile columns over a grid of positions.
 
     One phase evaluation per point: with theta = phase(z, t) and
@@ -229,13 +253,20 @@ def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> l
     amplitude = e._field_amplitude
     sign = e.helicity_sign
     phase, cos, sin, sqrt = e.phase, math.cos, math.sin, math.sqrt
-    rows = []
+    columns = tuple(array("d") for _ in PROFILE_COLUMNS)
+    add_z, add_t, add_rho, add_kin, add_field, add_s, add_scalar, add_pseudo = (
+        column.append for column in columns)
     for z in z_values:
         theta = phase(z, t)
         c = cos(2.0 * theta)
         rho = half_rho0 * (1.0 + c)
         s = half_rho0 * (1.0 - c)
-        rows.append({"z": z, "t": t, "rho": rho, "omega_kin": half_u2 * rho,
-                     "omega_field": amplitude * sin(theta) ** 2, "S": s,
-                     "psi_scalar": sqrt(rho), "psi_pseudo": sign * sqrt(s)})
-    return rows
+        add_z(z)
+        add_t(t)
+        add_rho(rho)
+        add_kin(half_u2 * rho)
+        add_field(amplitude * sin(theta) ** 2)
+        add_s(s)
+        add_scalar(sqrt(rho))
+        add_pseudo(sign * sqrt(s))
+    return Profile(columns)

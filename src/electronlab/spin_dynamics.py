@@ -15,6 +15,7 @@ axis at the end of the ramp instead of asserting alignment.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -135,15 +136,16 @@ def ll_rhs(state: SpinState, params: LLParams, dbdt: Sequence[float]) -> Vec3:
 
 
 class Trajectory(abc.Sequence):
-    """The samples `integrate` recorded, as four float columns.
+    """The samples `integrate` recorded, as four `array('d')` columns.
 
     Item k is `(t[k], SpinState((ex[k], ey[k], ez[k])))`, built and
-    validated when it is read; the columns themselves hold plain floats.
+    validated when it is read; the columns hold packed doubles, 8 B a
+    cell, and no Python object per record.
     """
 
     __slots__ = ("t", "ex", "ey", "ez")
 
-    def __init__(self, t: list[float], ex: list[float], ey: list[float], ez: list[float]):
+    def __init__(self, t: array, ex: array, ey: array, ez: array):
         self.t, self.ex, self.ey, self.ez = t, ex, ey, ez
 
     def __len__(self) -> int:
@@ -179,7 +181,7 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
     `schedule` sets the step count (the step size is adjusted so the
     final sample lands exactly at t = duration). Every step renormalizes
     e_s. Records every `record_every`-th step plus the initial and final
-    states, as the float columns of a `Trajectory`.
+    states, as the `array('d')` columns of a `Trajectory`.
 
     Only the final state is checked for unit length. A step that is
     renormalized stays on the unit sphere, and a NaN or infinity in any
@@ -195,7 +197,7 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
         raise DomainError(f"precession vector kappa*(u x dB/dt) is non-finite: {(wx, wy, wz)!r}")
     ex, ey, ez = state0.e_s
     sixth = h / 6.0
-    ts, xs, ys, zs = [0.0], [ex], [ey], [ez]
+    ts, xs, ys, zs = array("d", [0.0]), array("d", [ex]), array("d", [ey]), array("d", [ez])
 
     for k in range(steps):
         t0 = k * h

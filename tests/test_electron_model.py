@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from collections import abc
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from electronlab.electron_model import (
     HELICITIES,
     PROFILE_COLUMNS,
     PlaneWaveElectron,
+    Profile,
     WavefunctionSample,
     profile_rows,
 )
@@ -392,6 +395,57 @@ class TestProfileRows:
             assert row["rho"] == pytest.approx(e.density(z, 0.25), rel=1e-15)
             assert row["psi_scalar"] == pytest.approx(math.sqrt(row["rho"]), rel=1e-12)
             assert row["rho"] + row["S"] == pytest.approx(e.rho0, rel=1e-13)
+
+
+class TestProfile:
+    """`profile_rows` fills eight float columns and builds each row when it is read."""
+
+    @pytest.fixture(scope="class")
+    def profile(self):
+        return profile_rows(PlaneWaveElectron(rho0=2.0, u=1.5, helicity="minus"),
+                            [0.1 * k - 0.7 for k in range(23)], t=0.3)
+
+    def test_is_a_slotted_sequence(self, profile):
+        assert isinstance(profile, Profile) and isinstance(profile, abc.Sequence)
+        assert not hasattr(profile, "__dict__")
+
+    def test_length_indices_and_iteration(self, profile):
+        n = len(profile)
+        assert n == 23 == len(list(profile))
+        assert all(len(column) == n for column in profile.columns)
+        assert list(profile) == [profile[k] for k in range(n)]
+        for k in range(-n, 0):
+            assert profile[k] == profile[n + k]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                profile[k]
+        assert profile[::-3] == list(profile)[::-3]
+        assert profile[2:5] == [profile[2], profile[3], profile[4]]
+
+    def test_rows_are_dicts_of_floats_in_column_order(self, profile):
+        for row in profile:
+            assert type(row) is dict and tuple(row) == PROFILE_COLUMNS
+            assert all(type(v) is float for v in row.values())
+
+    def test_columns_equal_the_rows(self, profile):
+        assert len(profile.columns) == len(PROFILE_COLUMNS)
+        for name, column in zip(PROFILE_COLUMNS, profile.columns):
+            assert list(column) == [row[name] for row in profile]
+        assert list(zip(*profile.columns)) == [tuple(row.values()) for row in profile]
+
+    def test_peak_bytes_per_point(self, e):
+        # eight packed doubles cost about 67 B a point with the arrays'
+        # overallocation; a dict of eight floats per point cost about 424 B
+        zs = [k * 1e-3 for k in range(20_000)]
+        profile_rows(e, zs[:10], 0.0)  # warm-up
+        tracemalloc.start()
+        try:
+            profile = profile_rows(e, zs, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(profile) == 20_000
+        assert peak / len(profile) < 100
 
 
 class TestProfileRowsOracle:
