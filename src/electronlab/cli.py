@@ -4,10 +4,10 @@ Four subcommands (electron, epr, sterngerlach, budget) read a config
 file plus flag overrides, run the corresponding physics module, and
 write CSV/JSON artifacts into the output directory. The flags are
 generated from the config registry, so types, choices and help live in
-one place. Angles cross the boundary in degrees and are converted to
-radians internally. Every artifact embeds the resolved configuration
-and the tool version, and identical configurations produce
-byte-identical output.
+one place. Angles cross the boundary in degrees, are reduced exactly
+modulo 360 and are converted to radians internally. Every artifact
+embeds the resolved configuration and the tool version, and identical
+configurations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import __version__, epr_model, spin_dynamics
 from .config import MAX_ROWS, REGISTRY, Option, RunConfig, parse_config
 from .constants import COHESIVE_POTENTIAL_EV, UNIT_SYSTEMS
 from .electron_model import PROFILE_COLUMNS, PlaneWaveElectron, profile_rows
-from .errors import ConfigError, DomainError, ElectronLabError
+from .errors import ConfigError, DomainError, ElectronLabError, within
 from .uncertainty import budget_report
 
 
@@ -115,8 +115,6 @@ def _run_electron(config: RunConfig, out: Path) -> int:
     p = config.params
     points = p["electron.points"]
     zmin, zmax = p["electron.zmin"], p["electron.zmax"]
-    if points > 1 and zmax <= zmin:
-        raise ConfigError(f"electron.zmax must exceed electron.zmin, got {zmax} <= {zmin}")
     electron = PlaneWaveElectron(
         rho0=p["electron.rho0"],
         u=p["electron.u"],
@@ -127,6 +125,7 @@ def _run_electron(config: RunConfig, out: Path) -> int:
     if points == 1:
         zs = array("d", [zmin])
     else:
+        within(zmax - zmin, "(0, inf)", "electron.zmax - electron.zmin")
         step = (zmax - zmin) / (points - 1)
         zs = array("d", (zmin + i * step for i in range(points)))
     profile = profile_rows(electron, zs, t=p["electron.t"])
@@ -141,12 +140,14 @@ def _run_electron(config: RunConfig, out: Path) -> int:
 
 def _run_epr(config: RunConfig, out: Path) -> int:
     """correlation curve, CHSH report, singles sampling"""
+    def radians(deg: float) -> float:  # fmod is exact, so the residue modulo 360 survives
+        return math.radians(math.fmod(deg, 360.0))
     p = config.params
     mode = p["epr.mode"]
-    delta = math.radians(p["epr.delta_deg"])
+    delta = radians(p["epr.delta_deg"])
 
     if mode == "curve":
-        phi1 = math.radians(p["epr.phi1_deg"])
+        phi1 = radians(p["epr.phi1_deg"])
         step = p["epr.step_deg"]
         count = int(round(360.0 / step))
         phis, es = array("d"), array("d")
@@ -154,14 +155,14 @@ def _run_epr(config: RunConfig, out: Path) -> int:
             phi_deg = i * step
             phis.append(phi_deg)
             es.append(epr_model.expectation(
-                epr_model.AnalyzerPair(phi1, phi1 + math.radians(phi_deg), delta)))
+                epr_model.AnalyzerPair(phi1, phi1 + radians(phi_deg), delta)))
         _write_table(out, "epr_curve", ("phi_deg", "E"), zip(phis, es), config)
         print(f"correlation curve: {len(phis)} settings")
         return 0
 
     if mode == "chsh":
         degs = p["epr.angles_deg"]
-        settings = epr_model.ChshSettings(*(math.radians(d) for d in degs))
+        settings = epr_model.ChshSettings(*map(radians, degs))
         e_matrix = [[epr_model.expectation(epr_model.AnalyzerPair(a, b, delta))
                      for b in (settings.phi2, settings.phi2p)]
                     for a in (settings.phi1, settings.phi1p)]
@@ -174,7 +175,7 @@ def _run_epr(config: RunConfig, out: Path) -> int:
     # singles
     n = p["epr.n"]
     hits, rate = epr_model.monte_carlo_singles(
-        math.radians(p["epr.angle_deg"]), side="A", delta=delta,
+        radians(p["epr.angle_deg"]), side="A", delta=delta,
         n=n, seed=config.seed, workers=p["epr.workers"])
     stderr = math.sqrt(rate * (1.0 - rate) / n)
     _write(out / "epr_singles.json", _json_text(
@@ -198,9 +199,8 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     params = spin_dynamics.LLParams(
         kappa=p["sterngerlach.kappa"], u=p["sterngerlach.u"], dt=p["sterngerlach.dt"])
     every = p["sterngerlach.record_every"]
-    if spin_dynamics.schedule(duration, params.dt, every)[1] > MAX_ROWS:
-        raise ConfigError("sterngerlach.duration / sterngerlach.dt / sterngerlach.record_every"
-                          f" would record more than {MAX_ROWS} rows")
+    within(spin_dynamics.schedule(duration, params.dt, every)[1], f"[1, {MAX_ROWS}]",
+           "row count of sterngerlach.duration / sterngerlach.dt / sterngerlach.record_every")
     state0 = spin_dynamics.SpinState.from_vector(p["sterngerlach.es0"])
     trajectory = spin_dynamics.integrate(state0, ramp, params, record_every=every)
 
@@ -317,7 +317,8 @@ def main(argv=None) -> int:
     except (ElectronLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except ArithmeticError as exc:
-        print(f"error: out of double-precision range: {exc}", file=sys.stderr)
+        # float ** raises OverflowError(errno, text); the text is the last argument
+        print(f"error: out of double-precision range: {exc.args[-1]}", file=sys.stderr)
     return 1
 
 

@@ -172,10 +172,8 @@ class PlaneWaveElectron:
         gx, gy, gz = grad_potential
         if gx != 0.0 or gy != 0.0:
             raise DomainError("force must act along the motion axis e3 only")
-        new_u = self.u - (gz / self.rho0) * dt
-        if new_u <= 0.0:
-            raise DomainError(
-                f"step drives velocity to {new_u!r}; model covers forward motion only")
+        new_u = self.u - (gz / self.rho0) * dt  # the model covers forward motion only
+        within(new_u, "(0, inf)", "velocity after the step")
         return replace(self, u=new_u)
 
     def complementarity_check(self, z: float, t: float, dt: float) -> tuple[float, float]:

@@ -1,8 +1,11 @@
 """Exception types shared across the package, and the two refusal rules.
 
-`within` refuses a value outside an interval and `one_of` a value
-outside a set of choices; every bounded argument in the package is
-checked by one of them, so each refusal reads the same way.
+`within` refuses a value outside an interval and `one_of` a value outside a set
+of choices; every single-value bound is checked by one of them, so each refusal
+reads the same way. Own text stays where a check runs per profile point
+(`phase`, `_require_motion`), raises another type (`_require_quarter_phase`),
+is relative (`total_energy`), bounds no single value (force axis, wavefunction
+grade, `cli._strict_json`) or is a type rule (`config._finite`).
 """
 
 

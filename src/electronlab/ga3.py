@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, one_of
+from .errors import one_of, within
 
-_UNIT_TOL = 1e-12
+# |n^2 - 1| <= 1e-12 exactly: the double 1.0 + 1e-12 lies above 1 + 1e-12, so the top is open
+_UNIT_NORM2 = f"[{1.0 - 1e-12!r}, {1.0 + 1e-12!r})"
 
 
 @dataclass(frozen=True)
@@ -135,9 +136,7 @@ class Rotor3:
     b12: float
 
     def __post_init__(self):
-        n2 = self.s**2 + self.b23**2 + self.b31**2 + self.b12**2
-        if abs(n2 - 1.0) > _UNIT_TOL:
-            raise DomainError(f"rotor norm^2 deviates from 1 by {abs(n2 - 1.0):.3e}")
+        within(self.s**2 + self.b23**2 + self.b31**2 + self.b12**2, _UNIT_NORM2, "rotor norm^2")
 
     def as_multivector(self) -> Multivector3:
         return Multivector3(s=self.s, b23=self.b23, b31=self.b31, b12=self.b12)
@@ -161,11 +160,10 @@ def rotor(plane: Multivector3, angle: float) -> Rotor3:
     itself is 4pi-periodic: shifting the angle by 2pi negates it while
     leaving the sandwich action unchanged.
     """
-    if math.hypot(plane.s, plane.v1, plane.v2, plane.v3, plane.p) > _UNIT_TOL:
-        raise DomainError("rotor plane must be a pure bivector")
-    n2 = plane.b23**2 + plane.b31**2 + plane.b12**2
-    if abs(n2 - 1.0) > _UNIT_TOL:
-        raise DomainError(f"rotor plane norm^2 deviates from 1 by {abs(n2 - 1.0):.3e}")
+    within(math.hypot(plane.s, plane.v1, plane.v2, plane.v3, plane.p), "[0, 1e-12]",
+           "rotor plane non-bivector norm")
+    within(plane.b23**2 + plane.b31**2 + plane.b12**2, _UNIT_NORM2, "rotor plane norm^2")
+    within(angle, "(-inf, inf)", "rotor angle")
     c = math.cos(angle / 2.0)
     s = math.sin(angle / 2.0)
     return Rotor3(s=c, b23=-s * plane.b23, b31=-s * plane.b31, b12=-s * plane.b12)

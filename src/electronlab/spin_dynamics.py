@@ -20,12 +20,14 @@ from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ConfigError, DomainError, positive, within
+from .errors import positive, within
 
 Vec3 = tuple[float, float, float]
 
 # a minute or so at ~1.4 us per RK4 step on a 2-core Xeon VM, like the epr.n trial cap
 _MAX_STEPS = 50_000_000
+# |n - 1| <= 1e-9 exactly: the double 1.0 + 1e-9 lies above 1 + 1e-9, so the top is open
+_UNIT_LENGTH = f"[{1.0 - 1e-9!r}, {1.0 + 1e-9!r})"
 
 PARALLEL = "parallel"
 ANTIPARALLEL = "antiparallel"
@@ -52,9 +54,7 @@ class SpinState:
         x, y, z = self.e_s
         x, y, z = float(x), float(y), float(z)
         object.__setattr__(self, "e_s", (x, y, z))
-        n = math.sqrt(x * x + y * y + z * z)
-        if not abs(n - 1.0) <= 1e-9:  # NaN fails too
-            raise DomainError(f"spin direction must be unit length, |e_s| = {n!r}")
+        within(math.sqrt(x * x + y * y + z * z), _UNIT_LENGTH, "spin direction length")
 
     @classmethod
     def from_vector(cls, v: Sequence[float]) -> "SpinState":
@@ -72,8 +72,7 @@ class FieldRamp:
 
     def __post_init__(self):
         object.__setattr__(self, "b_dir", tuple(float(c) for c in self.b_dir))
-        if not abs(_norm(self.b_dir) - 1.0) <= 1e-9:  # NaN fails too
-            raise DomainError("field direction must be unit length")
+        within(_norm(self.b_dir), _UNIT_LENGTH, "field direction length")
         within(self.rate, "(-inf, inf)", "rate")
         positive(self.duration, "duration")
 
@@ -101,10 +100,7 @@ def cosine_ramp(b_total: float, duration: float, b_dir: Sequence[float]) -> Fiel
 
 def _unit(v: Sequence[float], name: str = "direction vector") -> Vec3:
     n = _norm(tuple(v))
-    if n == 0.0:
-        raise DomainError(f"{name} must be nonzero")
-    if not math.isfinite(n):
-        raise DomainError(f"{name} must have a finite length, got {n!r}")
+    within(n, "(0, inf)", f"{name} length")
     return (v[0] / n, v[1] / n, v[2] / n)
 
 
@@ -118,8 +114,8 @@ class LLParams:
 
     def __post_init__(self):
         object.__setattr__(self, "u", tuple(float(c) for c in self.u))
-        if not all(map(math.isfinite, self.u)):
-            raise DomainError(f"velocity must have finite components, got {self.u!r}")
+        for c in self.u:
+            within(c, "(-inf, inf)", "velocity component")
         positive(self.dt, "dt")
         within(self.kappa, "(-inf, inf)", "kappa")
 
@@ -164,13 +160,9 @@ def schedule(duration: float, dt: float, record_every: int = 1) -> tuple[int, in
     `record_every`-th step and the final step, 1 + ceil(steps / record_every).
     """
     within(record_every, "[1, inf)", "record_every")
-    ratio = duration / dt
-    # clamped first: round() cannot take the infinity of a huge duration over a tiny dt
-    steps = round(min(ratio, _MAX_STEPS + 1))
-    if steps < 1:
-        raise DomainError("duration must cover at least one step")
-    if steps > _MAX_STEPS:
-        raise ConfigError(f"duration / dt = {ratio!r} steps exceed the {_MAX_STEPS} step guard")
+    # the ratios that round, half to even, to 1 ... _MAX_STEPS steps
+    within(duration / dt, f"(0.5, {_MAX_STEPS + 0.5!r}]", "duration / dt")
+    steps = round(duration / dt)
     return steps, 1 + -(-steps // record_every)  # integer ceil, exact at any record_every
 
 
@@ -193,8 +185,8 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
 
     b, rate, shape = ramp.b_dir, ramp.rate, ramp.shape
     wx, wy, wz = _precession(params, (rate * b[0], rate * b[1], rate * b[2]))
-    if not all(map(math.isfinite, (wx, wy, wz))):  # every state after it would be NaN
-        raise DomainError(f"precession vector kappa*(u x dB/dt) is non-finite: {(wx, wy, wz)!r}")
+    for c in (wx, wy, wz):  # a non-finite component would turn every later state into NaN
+        within(c, "(-inf, inf)", "precession vector kappa*(u x dB/dt) component")
     ex, ey, ez = state0.e_s
     sixth = h / 6.0
     ts, xs, ys, zs = array("d", [0.0]), array("d", [ex]), array("d", [ey]), array("d", [ez])

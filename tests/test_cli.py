@@ -1,9 +1,11 @@
 """End-to-end CLI runs: artifacts, contracts, error surfacing."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 import tracemalloc
@@ -61,6 +63,18 @@ class TestChsh:
         assert len(payload["E_matrix"]) == 2
         assert payload["version"]
         assert payload["config"]["subcommand"] == "epr"
+
+    @pytest.mark.parametrize("phi1", ["1e16", "1e20", "640"])
+    def test_an_angle_is_reduced_exactly_modulo_360(self, phi1, tmp_path):
+        """1e16, 1e20 and 640 are all 280 modulo 360, so every output bit agrees."""
+        payloads = []
+        for angle in (phi1, "280"):
+            out = tmp_path / angle
+            assert main(["epr", "--chsh", "--angles", f"{angle},45,22.5,67.5",
+                         "--out", str(out)]) == 0
+            payloads.append(read_json(out / "epr_chsh.json"))
+        assert payloads[0]["S"] == payloads[1]["S"] == 0.08528751359574582
+        assert payloads[0]["E_matrix"] == payloads[1]["E_matrix"]
 
 
 class TestBudget:
@@ -141,6 +155,15 @@ class TestEprCurveAndSingles:
         payload = read_json(tmp_path / "epr_curve.json")
         assert payload["rows"][0]["E"] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("phi1", ["1e16", "1e20"])
+    def test_curve_keeps_the_residue_of_a_huge_reference_angle(self, phi1, tmp_path):
+        main(["epr", "--curve", "--phi1-deg", phi1, "--step-deg", "45",
+              "--format", "json", "--out", str(tmp_path)])
+        rows = read_json(tmp_path / "epr_curve.json")["rows"]
+        assert len(rows) == 8
+        for row in rows:
+            assert abs(row["E"] - math.cos(2.0 * math.radians(row["phi_deg"]))) <= 1e-12
+
     def test_singles_report(self, tmp_path):
         code = main(["epr", "--singles", "--angle", "30", "--n", "20000",
                      "--seed", "3", "--out", str(tmp_path)])
@@ -182,7 +205,8 @@ class TestSternGerlach:
         argv = ["sterngerlach", "--kappa", "1e300", "--u", "0,0,1", "--bdir", "1,0,0",
                 "--brate", "1", "--duration", "1.5707963", "--dt", "1e-4", "--ramp", "linear"]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == "error: spin direction must be unit length, |e_s| = nan\n"
+        assert capsys.readouterr().err == ("error: spin direction length must lie in "
+                                           "[0.999999999, 1.000000001), got nan\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("every", [1, 7])
@@ -246,6 +270,22 @@ class TestErrorSurfacing:
         code = main(["electron", "--rho0", "-1", "--out", str(tmp_path)])
         assert code == 1
         assert "rho0" in capsys.readouterr().err
+
+    def test_overflow_prints_the_message_not_the_errno_tuple(self, tmp_path, capsys):
+        assert main(["electron", "--u", "1e200", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ("error: out of double-precision range: "
+                                           f"{os.strerror(errno.ERANGE)}\n")
+
+    @pytest.mark.parametrize("zmax, accepted", [(5e-324, True), (0.0, False), (-5e-324, False)])
+    def test_z_window_must_be_positive(self, zmax, accepted, tmp_path, capsys):
+        code = main(["electron", "--zmin", "0", "--zmax", repr(zmax), "--points", "2",
+                     "--out", str(tmp_path / "out")])
+        if accepted:
+            assert code == 0
+        else:
+            assert code == 1
+            assert capsys.readouterr().err == ("error: electron.zmax - electron.zmin must lie "
+                                               f"in (0, inf), got {zmax!r}\n")
 
     def test_unwritable_output_path(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
@@ -331,7 +371,7 @@ REJECTED = [
     # a zero-length cosine ramp is refused as the linear one is
     (["sterngerlach", "--duration", "0", "--ramp", "cosine"], "duration must lie in (0, inf)"),
     # finite inputs whose results overflow
-    (["sterngerlach", "--kappa", "1e308", "--brate", "1e308"], "non-finite"),
+    (["sterngerlach", "--kappa", "1e308", "--brate", "1e308"], "precession vector"),
     (["electron", "--rho0", "1e300", "--u", "1e300", "--points", "2"], "range"),
     (["electron", "--zmax", "1e308", "--points", "3"], "phase"),
     (["electron", "--t", "1e308", "--u", "1e10"], "phase"),
@@ -341,8 +381,8 @@ REJECTED = [
     (["epr", "--curve", "--step-deg", "1000"], "epr.step_deg"),
     (["sterngerlach", "--dt", "1e-7"], "sterngerlach.dt"),
     # the step guard: 10**9 steps in 500 001 rows, about 20 minutes of RK4
-    (["sterngerlach", "--dt", "1e-9", "--record-every", "2000"], "step guard"),
-    (["sterngerlach", "--duration", "1e300", "--dt", "1e-300"], "step guard"),
+    (["sterngerlach", "--dt", "1e-9", "--record-every", "2000"], "duration / dt must lie in"),
+    (["sterngerlach", "--duration", "1e300", "--dt", "1e-300"], "duration / dt must lie in"),
     # the library refuses these only for --singles; the registry, for every mode
     (["epr", "--curve", "--seed", "-3"], "'seed' must lie in [0, inf)"),
     (["epr", "--curve", "--workers", "0"], "'epr.workers' must lie in [1, inf)"),

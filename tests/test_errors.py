@@ -22,7 +22,15 @@ from electronlab.epr_model import (
     single_probability,
 )
 from electronlab.errors import ConfigError, DomainError, one_of, positive, within
-from electronlab.spin_dynamics import FieldRamp, LLParams, SpinState, classify_deflection, schedule
+from electronlab.spin_dynamics import (
+    FieldRamp,
+    LLParams,
+    SpinState,
+    classify_deflection,
+    integrate,
+    linear_ramp,
+    schedule,
+)
 from electronlab.uncertainty import relative_feature_error
 
 BIG = 1.7976931348623157e308           # the largest double
@@ -33,6 +41,13 @@ INF, NAN = math.inf, math.nan
 HALF = BIG / 2                         # the largest setting difference whose double is finite
 ABOVE_HALF = math.nextafter(HALF, INF)
 DIFFERENCES = f"[{-HALF!r}, {HALF!r}]"
+UNIT = f"[{1.0 - 1e-9!r}, {1.0 + 1e-9!r})"       # |n - 1| <= 1e-9, as doubles
+NORM2 = f"[{1.0 - 1e-12!r}, {1.0 + 1e-12!r})"    # |n^2 - 1| <= 1e-12, as doubles
+STEPS = "(0.5, 50000000.5]"                      # the ratios that round to 1 ... 5e7 steps
+
+
+def below(x):
+    return math.nextafter(x, -INF)
 
 
 def refusal(name, bound, value):
@@ -104,6 +119,20 @@ def _electron(**kw):
     return PlaneWaveElectron(**{"rho0": 1.0, "u": 1.0, **kw})
 
 
+def _squares(v):
+    """Two components whose squares, summed as the rotor checks sum them, are exactly v.
+
+    Only about every other double near 1 is the square of a double, so the
+    largest square not above v takes a tiny second component for the rest.
+    """
+    a = math.sqrt(v)
+    if a**2 > v:
+        a = below(a)
+    b = math.sqrt(v - a**2)
+    assert a**2 + b**2 == v or math.isnan(v)
+    return a, b
+
+
 UP = SpinState((0.0, 0.0, 1.0))
 
 # (name, interval or choices, call, last values inside, first values outside); an
@@ -144,6 +173,31 @@ SITES = [
      [-TINY, INF, NAN]),
     ("grade index", range(4), lambda v: ga3.grade(ga3.Multivector3(1.0), v), [0, 3],
      [-1, 4, 1.5]),
+    # |(v, 0, 0)| is v, since the square root of a rounded square is exact; the squares
+    # of sqrt(TINY) and sqrt(BIG) are the smallest and about the largest double
+    ("spin direction length", UNIT, lambda v: SpinState((v, 0.0, 0.0)),
+     [1.0 - 1e-9, below(1.0 + 1e-9)], [below(1.0 - 1e-9), 1.0 + 1e-9, NAN]),
+    ("field direction length", UNIT, lambda v: FieldRamp((v, 0.0, 0.0), 1.0, 1.0, lambda t: 1.0),
+     [1.0 - 1e-9, below(1.0 + 1e-9)], [below(1.0 - 1e-9), 1.0 + 1e-9, NAN]),
+    ("direction vector length", "(0, inf)", lambda v: linear_ramp(1.0, 1.0, (v, 0.0, 0.0)),
+     [math.sqrt(TINY), math.sqrt(BIG)], [0.0, INF, NAN]),
+    ("velocity component", "(-inf, inf)", lambda v: LLParams(u=(0.0, 0.0, v)), [-BIG, BIG],
+     [-INF, INF, NAN]),
+    ("duration / dt", STEPS, lambda v: schedule(v, 1.0), [math.nextafter(0.5, 1.0), 50000000.5],
+     [0.5, math.nextafter(50000000.5, INF), INF, NAN]),
+    ("rotor norm^2", NORM2, lambda v: ga3.Rotor3(*_squares(v), 0.0, 0.0),
+     [1.0 - 1e-12, below(1.0 + 1e-12)], [below(1.0 - 1e-12), 1.0 + 1e-12, NAN]),
+    ("rotor plane norm^2", NORM2, lambda v: ga3.rotor(ga3.pseudovector(*_squares(v), 0.0), 0.0),
+     [1.0 - 1e-12, below(1.0 + 1e-12)], [below(1.0 - 1e-12), 1.0 + 1e-12, NAN]),
+    ("rotor plane non-bivector norm", "[0, 1e-12]",
+     lambda v: ga3.rotor(ga3.Multivector3(s=v, b12=1.0), 0.0), [0.0, 1e-12],
+     [math.nextafter(1e-12, 1.0), INF, NAN]),
+    ("rotor angle", "(-inf, inf)", lambda v: ga3.rotor(ga3.E12, v), [-BIG, BIG],
+     [-INF, INF, NAN]),
+    # from u = 0 the step's velocity is exactly v
+    ("velocity after the step", "(0, inf)",
+     lambda v: _electron(u=0.0).ehrenfest_step((0.0, 0.0, -v), 1.0), [TINY],
+     [0.0, -TINY, INF, NAN]),
 ]
 
 
@@ -168,6 +222,13 @@ def test_first_value_outside_is_refused(call, name, bound, value):
 def test_an_angle_that_overflows_with_the_source_phase_is_refused():
     with pytest.raises(DomainError, match=r"^analyzer angle must lie in \(-inf, inf\), got inf$"):
         monte_carlo_singles(BIG, "B", delta=BIG, n=1, seed=0)
+
+
+def test_a_precession_vector_that_overflows_is_refused():
+    params = LLParams(kappa=BIG, u=(0.0, 0.0, 2.0))
+    with pytest.raises(DomainError, match=r"^precession vector kappa\*\(u x dB/dt\) component "
+                                          r"must lie in \(-inf, inf\), got inf$"):
+        integrate(UP, linear_ramp(1.0, 1.0, (1.0, 0.0, 0.0)), params)
 
 
 def test_finite_angles_whose_difference_overflows_are_refused():

@@ -242,3 +242,13 @@ class TestRotor:
     def test_rotor3_rejects_non_unit(self):
         with pytest.raises(DomainError):
             Rotor3(0.5, 0.5, 0.0, 0.0)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Rotor3(math.nan, 0.0, 0.0, 0.0), r"rotor norm\^2 .*, got nan"),
+        (lambda: rotor(E12, math.nan), r"rotor angle .*, got nan"),
+        (lambda: rotor(E12, math.inf), r"rotor angle .*, got inf"),
+        (lambda: rotor(Multivector3(b12=math.nan), 1.0), r"rotor plane norm\^2 .*, got nan"),
+    ], ids=["nan rotor", "nan angle", "infinite angle", "nan plane"])
+    def test_rejects_nan_and_infinite_input(self, make, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            make()

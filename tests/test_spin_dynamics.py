@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from electronlab import ga3
-from electronlab.errors import ConfigError, DomainError
+from electronlab.errors import DomainError
 from electronlab.spin_dynamics import (
     ANTIPARALLEL,
     PARALLEL,
@@ -139,7 +139,7 @@ class TestNonFiniteInputs:
     def test_overflowing_precession_vector(self):
         params = LLParams(kappa=1e308, u=(0.0, 0.0, 1e308), dt=0.1)
         ramp = linear_ramp(1.0, 1.0, (1.0, 0.0, 0.0))
-        with pytest.raises(DomainError, match="non-finite"):
+        with pytest.raises(DomainError, match=r"^precession vector .* component must lie in"):
             integrate(SpinState((0.0, 0.0, 1.0)), ramp, params)
 
 
@@ -150,7 +150,7 @@ class TestNonFiniteInputs:
         ramp = linear_ramp(1.0, 1.5707963, (1.0, 0.0, 0.0))
         for every in (1, 10**9):
             with pytest.raises(DomainError,
-                               match=r"^spin direction must be unit length, \|e_s\| = nan$"):
+                               match=r"^spin direction length must lie in .*, got nan$"):
                 integrate(SpinState((0.0, 0.0, 1.0)), ramp, params, every)
 
 
@@ -298,7 +298,7 @@ class TestIntegrate:
     def test_step_overflow_guarded(self):
         state0 = SpinState((0.0, 0.0, 1.0))
         ramp = linear_ramp(1.0, 1.0, (1.0, 0.0, 0.0))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DomainError):
             integrate(state0, ramp, LLParams(dt=1e-10))
 
     def test_subunit_step_count_rejected(self):
@@ -323,7 +323,7 @@ class TestIntegrate:
         assert schedule(1.0, 1.0 / _MAX_STEPS) == (_MAX_STEPS, _MAX_STEPS + 1)
         assert schedule(1.0, 1.0 / _MAX_STEPS, 2) == (_MAX_STEPS, _MAX_STEPS // 2 + 1)
         for duration, dt in ((1.0, 1.0 / (_MAX_STEPS + 1)), (1e300, 1e-300)):  # the last is inf
-            with pytest.raises(ConfigError, match="step guard"):
+            with pytest.raises(DomainError, match=r"^duration / dt must lie in"):
                 schedule(duration, dt)
         with pytest.raises(DomainError, match="record_every"):
             schedule(1.0, 1e-3, 0)
