@@ -147,15 +147,14 @@ def _run_epr(config: RunConfig, out: Path) -> int:
     delta = radians(p["epr.delta_deg"])
 
     if mode == "curve":
-        phi1 = radians(p["epr.phi1_deg"])
         step = p["epr.step_deg"]
         count = int(round(360.0 / step))
         phis, es = array("d"), array("d")
         for i in range(count):
             phi_deg = i * step
             phis.append(phi_deg)
-            es.append(epr_model.expectation(
-                epr_model.AnalyzerPair(phi1, phi1 + radians(phi_deg), delta)))
+            # E reads phi1 - phi2 only, so phi1 stays out of the arithmetic
+            es.append(epr_model.expectation(epr_model.AnalyzerPair(0.0, radians(phi_deg), delta)))
         _write_table(out, "epr_curve", ("phi_deg", "E"), zip(phis, es), config)
         print(f"correlation curve: {len(phis)} settings")
         return 0
@@ -191,6 +190,7 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     rate = p["sterngerlach.brate"]
     b_dir = p["sterngerlach.bdir"]
     threshold = p["sterngerlach.threshold"]
+    within(spin_dynamics.norm(b_dir), "(0, inf)", "sterngerlach.bdir length")
     if p["sterngerlach.ramp"] == "linear":
         ramp = spin_dynamics.linear_ramp(rate, duration, b_dir)
     else:
@@ -201,6 +201,7 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     every = p["sterngerlach.record_every"]
     within(spin_dynamics.schedule(duration, params.dt, every)[1], f"[1, {MAX_ROWS}]",
            "row count of sterngerlach.duration / sterngerlach.dt / sterngerlach.record_every")
+    within(spin_dynamics.norm(p["sterngerlach.es0"]), "(0, inf)", "sterngerlach.es0 length")
     state0 = spin_dynamics.SpinState.from_vector(p["sterngerlach.es0"])
     trajectory = spin_dynamics.integrate(state0, ramp, params, record_every=every)
 

@@ -78,10 +78,6 @@ class PlaneWaveElectron:
     def helicity_sign(self) -> float:
         return 1.0 if self.helicity == "plus" else -1.0
 
-    def _require_motion(self):
-        if self.u == 0.0:
-            raise DomainError("operation undefined at u = 0 (infinite wavelength)")
-
     def _require_quarter_phase(self):
         if self.phi != math.pi / 2.0:
             raise UnsupportedConfigurationError(
@@ -89,7 +85,7 @@ class PlaneWaveElectron:
 
     def phase(self, z: float, t: float) -> float:
         """Travelling phase 2*pi*z/wavelength - 2*pi*nu*t."""
-        self._require_motion()
+        within(self.u, "(0, inf)", "velocity")  # at rest the wavelength is infinite
         theta = 2.0 * math.pi * z / self.wavelength - 2.0 * math.pi * self.nu * t
         if not math.isfinite(2.0 * theta):  # the densities take cos(2 * phase)
             raise DomainError(f"the phase at z = {z!r}, t = {t!r} exceeds double precision")

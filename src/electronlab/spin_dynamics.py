@@ -40,7 +40,7 @@ def _cross(a: Vec3, b: Vec3) -> Vec3:
             a[0] * b[1] - a[1] * b[0])
 
 
-def _norm(a: Vec3) -> float:
+def norm(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
 
 
@@ -72,7 +72,7 @@ class FieldRamp:
 
     def __post_init__(self):
         object.__setattr__(self, "b_dir", tuple(float(c) for c in self.b_dir))
-        within(_norm(self.b_dir), _UNIT_LENGTH, "field direction length")
+        within(norm(self.b_dir), _UNIT_LENGTH, "field direction length")
         within(self.rate, "(-inf, inf)", "rate")
         positive(self.duration, "duration")
 
@@ -99,7 +99,7 @@ def cosine_ramp(b_total: float, duration: float, b_dir: Sequence[float]) -> Fiel
 
 
 def _unit(v: Sequence[float], name: str = "direction vector") -> Vec3:
-    n = _norm(tuple(v))
+    n = norm(tuple(v))
     within(n, "(0, inf)", f"{name} length")
     return (v[0] / n, v[1] / n, v[2] / n)
 

@@ -164,6 +164,15 @@ class TestEprCurveAndSingles:
         for row in rows:
             assert abs(row["E"] - math.cos(2.0 * math.radians(row["phi_deg"]))) <= 1e-12
 
+    def test_curve_rows_are_the_same_bytes_at_every_reference_angle(self, tmp_path):
+        rows = []
+        for phi1 in ("0", "30", "1e20"):
+            main(["epr", "--curve", "--phi1-deg", phi1, "--delta-deg", "10",
+                  "--format", "json", "--out", str(tmp_path / phi1)])
+            text = (tmp_path / phi1 / "epr_curve.json").read_text(encoding="utf-8")
+            rows.append(text[text.index('"rows": '):])  # the last key, after the config echo
+        assert rows[0] == rows[1] == rows[2]
+
     def test_singles_report(self, tmp_path):
         code = main(["epr", "--singles", "--angle", "30", "--n", "20000",
                      "--seed", "3", "--out", str(tmp_path)])
@@ -375,6 +384,10 @@ REJECTED = [
     (["electron", "--rho0", "1e300", "--u", "1e300", "--points", "2"], "range"),
     (["electron", "--zmax", "1e308", "--points", "3"], "phase"),
     (["electron", "--t", "1e308", "--u", "1e10"], "phase"),
+    # a zero length or speed, named by the key or the argument that is zero
+    (["sterngerlach", "--bdir", "0,0,0"], "sterngerlach.bdir length must lie in (0, inf), got 0.0"),
+    (["sterngerlach", "--es0", "0,0,0"], "sterngerlach.es0 length must lie in (0, inf), got 0.0"),
+    (["electron", "--u", "0"], "velocity must lie in (0, inf), got 0.0"),
     # the row cap, checked before any row is built
     (["electron", "--points", "1000001"], "electron.points"),
     (["epr", "--curve", "--step-deg", "1e-300"], "epr.step_deg"),

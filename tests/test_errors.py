@@ -21,7 +21,8 @@ from electronlab.epr_model import (
     rotor_phase,
     single_probability,
 )
-from electronlab.errors import ConfigError, DomainError, one_of, positive, within
+from electronlab.cli import main
+from electronlab.errors import ConfigError, DomainError, _ends, one_of, positive, within
 from electronlab.spin_dynamics import (
     FieldRamp,
     LLParams,
@@ -240,3 +241,11 @@ def test_config_prefixes_the_same_message():
     with pytest.raises(ConfigError) as info:
         parse_config("", ["subcommand=electron", "electron.points=0"])
     assert str(info.value) == "override: 'electron.points' must lie in [1, 1000000], got 0"
+
+
+def test_a_curve_parses_each_distinct_interval_once(tmp_path):
+    _ends.cache_clear()
+    assert main(["epr", "--curve", "--step-deg", "0.036", "--out", str(tmp_path)]) == 0
+    info = _ends.cache_info()
+    assert info.hits + info.misses >= 10_000  # one setting-difference check per setting
+    assert info.misses == info.currsize <= 16
