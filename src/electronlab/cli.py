@@ -212,7 +212,8 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
                  zip(t, ex, ey, ez, dots), config)
 
     t_final, final = trajectory[-1]
-    label = spin_dynamics.classify_deflection(final, ramp.b_dir, threshold)
+    # the configured direction, so that the label is decided by the dot_B it reports
+    label = spin_dynamics.classify_deflection(final, b_dir, threshold)
     _write(out / "sterngerlach_summary.json", _json_text(
         config,
         classification=label,

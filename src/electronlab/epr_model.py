@@ -43,6 +43,7 @@ UNDETERMINED = "undetermined"
 
 _HALF_PI_TOL = 1e-9       # exact-multiple detection for determinate settings
 _BLOCK = 1 << 16          # trials per seeded Monte Carlo block
+_SUB = 1 << 15            # trials per sub-block, the piece of a block a worker holds at once
 
 TWO_PI = 2.0 * math.pi
 # cos(2 * difference) must stay finite, so a setting difference lies in half the double range
@@ -164,15 +165,20 @@ def conditional_outcome(known_a: str, pair: AnalyzerPair) -> str:
     return UNDETERMINED
 
 
-def _block_draws(seed: int, index: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One block's hidden phases and detector draws, from one stream, in `u`'s halves.
+def _block_streams(seed: int, index: int,
+                   size: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """One block's hidden-phase stream and detector-draw stream.
 
-    The phases are bitwise `rng.uniform(0, 2pi, size)`, which numpy
-    computes as 0.0 + 2pi*u, and the draws are the next `rng.random(size)`.
+    The block's stream is `default_rng([seed, index])`: its first `size`
+    doubles u give the phases, bitwise `rng.uniform(0, 2pi, size)`, which
+    numpy computes as 0.0 + 2pi*u, and the next `size` give the draws.
+    The draw stream is a second PCG64 on the same seed, jumped ahead past
+    the phases, so both can be read in step, a sub-block at a time, with
+    the same bits as the stream read whole.
     """
-    phases, draws = np.split(np.random.default_rng([seed, index]).random(out=u), 2)
-    phases *= TWO_PI
-    return phases, draws
+    seq = np.random.SeedSequence([seed, index])
+    return (np.random.Generator(np.random.PCG64(seq)),
+            np.random.Generator(np.random.PCG64(seq).advance(size)))
 
 
 def _block_sizes(n: int) -> list[int]:
@@ -184,7 +190,8 @@ def hidden_phase_samples(n: int, seed: int) -> np.ndarray:
     """The uniform initial phases the singles sampler draws, in order."""
     within(n, "[1, inf)", "sample count")
     within(seed, "[0, inf)", "seed")
-    parts = [_block_draws(seed, k, np.empty(2 * size))[0] for k, size in enumerate(_block_sizes(n))]
+    parts = [_block_streams(seed, k, size)[0].random(size) * TWO_PI
+             for k, size in enumerate(_block_sizes(n))]
     return np.concatenate(parts)
 
 
@@ -204,8 +211,12 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
     2**-21 + 2**-23*x + 2**-24 (cosine, cast of x, square), and the band
     2**-17 + (base + 2pi)*2**-20 is at least 8 times that. Trials whose
     draw is farther than the band from the screen are decided by it; the
-    rest are decided in float64. So the hits are exactly those of the
-    float64 rule.
+    rest are decided in float64. The difference r - screen is held
+    rounded to float32, and the band is compared in float32 too; each
+    rounding moves its value by at most 2**-24 of itself, so a trial the
+    screen decides has |r - screen| above half the band, four times the
+    screen error, and r - cos(x)**2 has the sign the float32 difference
+    keeps. So the hits are exactly those of the float64 rule.
     """
     one_of(side, SIDES, "side")
     within(n, "[1, inf)", "trial count")
@@ -217,18 +228,22 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
     band = 2.0 ** -17 + (base + TWO_PI) * 2.0 ** -20
 
     def run_blocks(share: list[tuple[int, int]]) -> int:
-        # one set of buffers per worker, so that no block frees ~2 MB for the next to refault
-        u, p, d = np.empty(2 * _BLOCK), np.empty(_BLOCK, np.float32), np.empty(_BLOCK)
+        # one set of sub-block buffers per worker, about 672 KiB, reused by every block
+        u, diff, mask = np.empty(2 * _SUB), np.empty(_SUB, np.float32), np.empty(_SUB, bool)
         hits = 0
         for index, size in share:
-            x, r = _block_draws(seed, index, u[:2 * size])
-            x += base
-            screen = np.cos(x, out=p[:size], dtype=np.float32, casting="same_kind")
-            screen *= screen
-            diff = np.subtract(r, screen, out=d[:size])
-            hits += np.count_nonzero(diff < -band)
-            near = np.flatnonzero(np.abs(diff, out=diff) <= band)
-            hits += np.count_nonzero(r[near] < np.cos(x[near]) ** 2)
+            phases, draws = _block_streams(seed, index, size)
+            for start in range(0, size, _SUB):
+                m = min(_SUB, size - start)
+                x, r = phases.random(out=u[:m]), draws.random(out=u[_SUB:_SUB + m])
+                x *= TWO_PI
+                x += base
+                d = np.cos(x, out=diff[:m], dtype=np.float32, casting="same_kind")
+                d *= d
+                np.subtract(r, d, out=d, casting="same_kind")
+                hits += np.count_nonzero(np.less(d, -band, out=mask[:m]))
+                near = np.flatnonzero(np.less_equal(np.abs(d, out=d), band, out=mask[:m]))
+                hits += np.count_nonzero(r[near] < np.cos(x[near]) ** 2)
         return int(hits)
 
     tasks = list(enumerate(_block_sizes(n)))

@@ -24,7 +24,7 @@ from .errors import positive, within
 
 Vec3 = tuple[float, float, float]
 
-# a minute or so at ~1.4 us per RK4 step on a 2-core Xeon VM, like the epr.n trial cap
+# a minute or so at ~1.4 us per RK4 step on a 2-core Xeon VM; like epr.n's cap, no run takes hours
 _MAX_STEPS = 50_000_000
 # |n - 1| <= 1e-9 exactly: the double 1.0 + 1e-9 lies above 1 + 1e-9, so the top is open
 _UNIT_LENGTH = f"[{1.0 - 1e-9!r}, {1.0 + 1e-9!r})"
@@ -237,7 +237,8 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
 def classify_deflection(final: SpinState, b_dir: Sequence[float], threshold: float) -> str:
     """Sign of the deflection a field gradient would impose on this spin."""
     within(threshold, "(0, 1)", "threshold")
-    alignment = sum(a * b for a, b in zip(final.e_s, _unit(b_dir)))
+    (ex, ey, ez), (bx, by, bz) = final.e_s, _unit(b_dir)
+    alignment = ex * bx + ey * by + ez * bz
     if alignment > threshold:
         return PARALLEL
     if alignment < -threshold:
