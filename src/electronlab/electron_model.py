@@ -30,7 +30,7 @@ from typing import Sequence
 
 from . import ga3
 from .constants import ATOMIC_UNITS, UnitSystem
-from .errors import DomainError, UnsupportedConfigurationError, one_of, positive, within
+from .errors import DomainError, UnsupportedConfigurationError, one_of, within
 
 HELICITIES = ("plus", "minus")
 
@@ -59,13 +59,13 @@ class PlaneWaveElectron:
     H0: float = field(init=False)
 
     def __post_init__(self):
-        positive(self.rho0, "rho0")
+        within(self.rho0, "(0, inf)", "rho0")
         within(self.u, "[0, inf)", "velocity")
         one_of(self.helicity, HELICITIES, "helicity")
         within(self.field_split, "(0, 1)", "field_split")
         if self.mass is None:
             object.__setattr__(self, "mass", self.units.m_e)
-        positive(self.mass, "mass")
+        within(self.mass, "(0, inf)", "mass")
         hbar = self.units.hbar
         object.__setattr__(self, "wavelength",
                            2.0 * math.pi * hbar / (self.mass * self.u) if self.u else math.inf)
@@ -128,7 +128,7 @@ class PlaneWaveElectron:
 
     def total_energy(self, volume: float) -> float:
         """m*u^2/2 for an electron filling `volume` at density rho0."""
-        positive(volume, "volume")
+        within(volume, "(0, inf)", "volume")
         if abs(self.rho0 * volume - self.mass) > 1e-9 * self.mass:
             raise DomainError(
                 f"normalization rho0*volume = mass violated: "
@@ -164,7 +164,7 @@ class PlaneWaveElectron:
         derived quantities (wavelength, nu, field amplitudes) are rebuilt
         so the amplitude constraint and the dispersion stay satisfied.
         """
-        positive(dt, "dt")
+        within(dt, "(0, inf)", "dt")
         gx, gy, gz = grad_potential
         if gx != 0.0 or gy != 0.0:
             raise DomainError("force must act along the motion axis e3 only")
@@ -178,7 +178,7 @@ class PlaneWaveElectron:
         The two densities share rho0, so the derivatives cancel up to
         discretization and roundoff.
         """
-        positive(dt, "dt")
+        within(dt, "(0, inf)", "dt")
         ds_dt = (self.spin_density(z, t + dt) - self.spin_density(z, t - dt)) / (2.0 * dt)
         drho_dt = (self.density(z, t + dt) - self.density(z, t - dt)) / (2.0 * dt)
         return ds_dt, drho_dt

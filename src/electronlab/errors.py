@@ -49,8 +49,3 @@ def one_of(value, choices, name: str) -> None:
     """Raise DomainError unless `value` is one of `choices`."""
     if value not in choices:
         raise DomainError(f"{name} must be one of {list(choices)}, got {value!r}")
-
-
-def positive(value: float, name: str) -> None:
-    """Raise DomainError unless `value` is positive and finite."""
-    within(value, "(0, inf)", name)

@@ -20,7 +20,7 @@ from collections import abc
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import positive, within
+from .errors import within
 
 Vec3 = tuple[float, float, float]
 
@@ -74,7 +74,7 @@ class FieldRamp:
         object.__setattr__(self, "b_dir", tuple(float(c) for c in self.b_dir))
         within(norm(self.b_dir), _UNIT_LENGTH, "field direction length")
         within(self.rate, "(-inf, inf)", "rate")
-        positive(self.duration, "duration")
+        within(self.duration, "(0, inf)", "duration")
 
     def b_rate(self, t: float) -> Vec3:
         """dB/dt at time t."""
@@ -93,7 +93,7 @@ def cosine_ramp(b_total: float, duration: float, b_dir: Sequence[float]) -> Fiel
     B(t) = b_total * (1 - cos(pi t / duration)) / 2, so the rate starts
     and ends at zero.
     """
-    positive(duration, "duration")  # checked here too, before the rate divides by it
+    within(duration, "(0, inf)", "duration")  # checked here too, before the rate divides by it
     return FieldRamp(_unit(b_dir), b_total * math.pi / (2.0 * duration), duration,
                      lambda t: math.sin(math.pi * t / duration))
 
@@ -116,7 +116,7 @@ class LLParams:
         object.__setattr__(self, "u", tuple(float(c) for c in self.u))
         for c in self.u:
             within(c, "(-inf, inf)", "velocity component")
-        positive(self.dt, "dt")
+        within(self.dt, "(0, inf)", "dt")
         within(self.kappa, "(-inf, inf)", "kappa")
 
 
@@ -159,6 +159,7 @@ def schedule(duration: float, dt: float, record_every: int = 1) -> tuple[int, in
     round(duration / dt) steps; the records are the initial state, every
     `record_every`-th step and the final step, 1 + ceil(steps / record_every).
     """
+    within(dt, "(0, inf)", "dt")
     within(record_every, "[1, inf)", "record_every")
     # the ratios that round, half to even, to 1 ... _MAX_STEPS steps
     within(duration / dt, f"(0.5, {_MAX_STEPS + 0.5!r}]", "duration / dt")

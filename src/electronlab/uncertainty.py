@@ -19,28 +19,28 @@ from dataclasses import asdict, dataclass
 import math
 
 from .constants import EV, HBAR, M_E, PM
-from .errors import positive, within
+from .errors import within
 
 DEFAULT_CONVENTION = 0.5
 
 
 def momentum_uncertainty(band_energy_ev: float, mass: float = M_E) -> float:
     """dp = sqrt(2 m dE) in kg m/s for a band energy in eV."""
-    positive(band_energy_ev, "band energy")
-    positive(mass, "mass")
+    within(band_energy_ev, "(0, inf)", "band energy")
+    within(mass, "(0, inf)", "mass")
     return math.sqrt(2.0 * mass * band_energy_ev * EV)
 
 
 def position_uncertainty(dp: float, convention_factor: float = DEFAULT_CONVENTION) -> float:
     """dx = factor * hbar / dp, reported in picometres."""
-    positive(dp, "momentum uncertainty")
-    positive(convention_factor, "convention factor")
+    within(dp, "(0, inf)", "momentum uncertainty")
+    within(convention_factor, "(0, inf)", "convention factor")
     return convention_factor * HBAR / dp / PM
 
 
 def relative_feature_error(feature_height_pm: float, height_error_pm: float) -> float:
     """Height error over feature height, dimensionless."""
-    positive(feature_height_pm, "feature height")
+    within(feature_height_pm, "(0, inf)", "feature height")
     within(height_error_pm, "[0, inf)", "height error")
     return height_error_pm / feature_height_pm
 
@@ -52,9 +52,9 @@ def compliance_energy(target_dx_pm: float, mass: float = M_E,
     Inverts the chain: dp = factor * hbar / dx, then E = dp^2 / 2m.
     Strictly decreasing in the target.
     """
-    positive(target_dx_pm, "target position uncertainty")
-    positive(mass, "mass")
-    positive(convention_factor, "convention factor")
+    within(target_dx_pm, "(0, inf)", "target position uncertainty")
+    within(mass, "(0, inf)", "mass")
+    within(convention_factor, "(0, inf)", "convention factor")
     dp = convention_factor * HBAR / (target_dx_pm * PM)
     return dp * dp / (2.0 * mass) / EV
 
@@ -91,7 +91,7 @@ def budget_report(band_energy_ev: float = 0.08,
     The compliance energy is quoted for `compliance_target_pm`, by
     default the lateral resolution itself.
     """
-    positive(lateral_resolution_pm, "lateral resolution")
+    within(lateral_resolution_pm, "(0, inf)", "lateral resolution")
     dp = momentum_uncertainty(band_energy_ev, mass)
     dx = position_uncertainty(dp, convention_factor)
     target = lateral_resolution_pm if compliance_target_pm is None else compliance_target_pm

@@ -22,7 +22,7 @@ from electronlab.epr_model import (
     single_probability,
 )
 from electronlab.cli import main
-from electronlab.errors import ConfigError, DomainError, _ends, one_of, positive, within
+from electronlab.errors import ConfigError, DomainError, _ends, one_of, within
 from electronlab.spin_dynamics import (
     FieldRamp,
     LLParams,
@@ -66,6 +66,7 @@ class TestWithin:
         (10**400, "[1, inf)"), (1, "[1, 1000000]"), (1_000_000, "[1, 1000000]"),
         (360 / 1_000_000, "[0.00036, 720)"),
         (True, "[1, 1]"),  # a bool is the int 1 or 0
+        (TINY, "(0, inf)"),
     ])
     def test_inside(self, value, interval):
         within(value, interval, "x")
@@ -78,6 +79,7 @@ class TestWithin:
         (-10**400, "[1, inf)"), (0, "[1, inf)"), (1_000_001, "[1, 1000000]"),
         (720.0, "[0.00036, 720)"),
         (True, "(1, inf)"), (False, "[1, inf)"),
+        (-0.0, "(0, inf)"), (0.0, "(0, inf)"),
     ])
     def test_outside(self, value, interval):
         with pytest.raises(DomainError) as info:
@@ -87,11 +89,6 @@ class TestWithin:
     def test_message(self):
         with pytest.raises(DomainError, match=r"^rate must lie in \(-inf, inf\), got nan$"):
             within(NAN, "(-inf, inf)", "rate")
-
-    def test_positive_is_the_open_half_line(self):
-        positive(TINY, "dt")
-        with pytest.raises(DomainError, match=r"^dt must lie in \(0, inf\), got -0\.0$"):
-            positive(-0.0, "dt")
 
 
 class TestOneOf:
@@ -148,6 +145,7 @@ SITES = [
      [-BIG, BIG], [-INF, INF, NAN]),
     ("kappa", "(-inf, inf)", lambda v: LLParams(kappa=v), [-BIG, BIG], [-INF, INF, NAN]),
     ("record_every", "[1, inf)", lambda v: schedule(1.0, 1e-3, v), [1, 10**400], [0, -1]),
+    ("dt", "(0, inf)", lambda v: schedule(1.0, v), [1.0], [0.0, -0.0, -1.0, INF, NAN]),
     ("threshold", "(0, 1)", lambda v: classify_deflection(UP, (0.0, 0.0, 1.0), v),
      [TINY, BELOW_ONE], [0.0, 1.0, NAN]),
     ("side", SIDES, lambda v: rotor_phase(0.0, v), ["A", "B"], ["C", "a"]),
