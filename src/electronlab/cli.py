@@ -63,13 +63,14 @@ def _write(path: Path, text: str):
 _CHUNK_ROWS = 1024  # rows encoded per pass; only one chunk's cell tokens are alive at once
 
 
-def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **header):
+def _write_table(out: Path, name: str, columns, rows, config: RunConfig, fixed=None, **header):
     """Tabular artifact in the configured format (CSV gets a JSON mirror).
 
-    `rows` is any iterable of float tuples in column order. `header`
-    entries go into the JSON between the metadata and the table. Both
-    texts are built before any file is written, so a rejected run writes
-    no file.
+    `rows` is any iterable of float tuples in column order, without the
+    columns in `fixed`, which maps a column to the one float every row
+    holds; it is encoded once. `header` entries go into the JSON between
+    the metadata and the table. Both texts are built before any file is
+    written, so a rejected run writes no file.
 
     Memory: rows are encoded `_CHUNK_ROWS` at a time, so besides what
     `rows` holds the writer keeps one chunk of cell tokens and the two
@@ -79,9 +80,11 @@ def _write_table(out: Path, name: str, columns, rows, config: RunConfig, **heade
     text = _json_text(config, **header, columns=list(columns), rows=[])
     # json's indent=2 layout; "rows" is the last key, so the text ends in `[]\n}\n`
     # a `%` in a column name is doubled, so the template reads it as text
-    fields = ",\n".join(f"      {json.dumps(c).replace('%', '%%')}: %s" for c in columns)
+    cells = {c: _strict_json(v) for c, v in (fixed or {}).items()}  # no % in a float's token
+    fields = ",\n".join(f"      {json.dumps(c).replace('%', '%%')}: {cells.get(c, '%s')}"
+                         for c in columns)
     item = "    {\n" + fields + "\n    }"
-    line = ",".join(["%s"] * len(columns))
+    line = ",".join(cells.get(c, "%s") for c in columns)
     json_parts = [text[:-len("[]\n}\n")] + "[\n"]
     csv_parts = [f"# version = {__version__}\n"]
     csv_parts += [f"# {key} = {_fmt(value)}\n" for key, value in config.resolved().items()]
@@ -128,12 +131,12 @@ def _run_electron(config: RunConfig, out: Path) -> int:
         within(zmax - zmin, "(0, inf)", "electron.zmax - electron.zmin")
         step = (zmax - zmin) / (points - 1)
         zs = array("d", (zmin + i * step for i in range(points)))
-    profile = profile_rows(electron, zs, t=p["electron.t"])
-    # the writer reads the eight packed columns a row tuple at a time, and drops
-    # each chunk's tuples once they are encoded
-    _write_table(out, "electron_profile", PROFILE_COLUMNS, zip(*profile.columns), config,
-                 wavelength=electron.wavelength, nu=electron.nu, E0=electron.E0,
-                 H0=electron.H0, cohesive_potential_ev=COHESIVE_POTENTIAL_EV)
+    z, _, *others = profile_rows(electron, zs, p["electron.t"]).columns  # z, t, ...
+    # the writer reads the seven other packed columns a row tuple at a time, drops
+    # each chunk's tuples once they are encoded and writes the one t token in every row
+    _write_table(out, "electron_profile", PROFILE_COLUMNS, zip(z, *others), config,
+                 fixed={"t": p["electron.t"]}, wavelength=electron.wavelength, nu=electron.nu,
+                 E0=electron.E0, H0=electron.H0, cohesive_potential_ev=COHESIVE_POTENTIAL_EV)
     print(f"electron profile: {len(zs)} samples, wavelength = {_fmt(electron.wavelength)}")
     return 0
 

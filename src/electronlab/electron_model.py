@@ -234,29 +234,33 @@ class Profile(abc.Sequence):
 def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> Profile:
     """Sample the standard profile columns over a grid of positions.
 
-    One phase evaluation per point: with theta = phase(z, t) and
-    c = cos(2*theta), rho = rho0/2*(1 + c) and S = rho0/2*(1 - c), and
-    every other column follows from those and sin(theta). The per-point
-    methods (`density`, `kinetic_energy_density`, `field_energy_density`,
-    `spin_density`, `wavefunction`) are the oracle: each cell equals
-    theirs exactly.
+    One phase per point: theta is `phase`'s formula inline, with its
+    velocity check made once. With c = cos(2*theta), rho = rho0/2*(1 + c)
+    and S = rho0/2*(1 - c); every other column follows from those and
+    sin(theta). The z and t columns are built whole, not per point. The
+    per-point methods (`density`, `kinetic_energy_density`, `field_energy_density`,
+    `spin_density`, `wavefunction`) are the oracle: each cell equals theirs exactly.
     """
     e._require_quarter_phase()
+    within(e.u, "(0, inf)", "velocity")  # phase's check, once for the whole grid
     half_rho0 = 0.5 * e.rho0
     half_u2 = 0.5 * e.u**2
     amplitude = e._field_amplitude
     sign = e.helicity_sign
-    phase, cos, sin, sqrt = e.phase, math.cos, math.sin, math.sqrt
-    columns = tuple(array("d") for _ in PROFILE_COLUMNS)
-    add_z, add_t, add_rho, add_kin, add_field, add_s, add_scalar, add_pseudo = (
-        column.append for column in columns)
-    for z in z_values:
-        theta = phase(z, t)
+    # phase's operations in phase's order, so theta is the same double
+    two_pi, wavelength, shift = 2.0 * math.pi, e.wavelength, 2.0 * math.pi * e.nu * t
+    isfinite, cos, sin, sqrt = math.isfinite, math.cos, math.sin, math.sqrt
+    zs = array("d", z_values)
+    columns = (zs, array("d", [t]) * len(zs)) + tuple(array("d") for _ in PROFILE_COLUMNS[2:])
+    add_rho, add_kin, add_field, add_s, add_scalar, add_pseudo = (
+        column.append for column in columns[2:])
+    for z in zs:
+        theta = two_pi * z / wavelength - shift
+        if not isfinite(2.0 * theta):
+            e.phase(z, t)  # raises phase's own message
         c = cos(2.0 * theta)
         rho = half_rho0 * (1.0 + c)
         s = half_rho0 * (1.0 - c)
-        add_z(z)
-        add_t(t)
         add_rho(rho)
         add_kin(half_u2 * rho)
         add_field(amplitude * sin(theta) ** 2)

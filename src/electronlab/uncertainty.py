@@ -55,8 +55,12 @@ def compliance_energy(target_dx_pm: float, mass: float = M_E,
     within(target_dx_pm, "(0, inf)", "target position uncertainty")
     within(mass, "(0, inf)", "mass")
     within(convention_factor, "(0, inf)", "convention factor")
+    # below about 2.5e-312 pm the target is 0 m, and below about 7.3e-153 pm the energy is inf
+    within(target_dx_pm * PM, "(0, inf)", "target position uncertainty in m")
     dp = convention_factor * HBAR / (target_dx_pm * PM)
-    return dp * dp / (2.0 * mass) / EV
+    energy = dp * dp / (2.0 * mass) / EV
+    within(energy, "[0, inf)", "compliance energy in eV")
+    return energy
 
 
 @dataclass(frozen=True)

@@ -457,6 +457,18 @@ def test_row_cap_compares_the_exact_record_count(monkeypatch, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "sterngerlach.dt" in err[0]
 
 
+@pytest.mark.parametrize("resolution, line", [
+    ("1e-320", "error: target position uncertainty in m must lie in (0, inf), got 0.0"),
+    ("1e-310", "error: compliance energy in eV must lie in [0, inf), got inf"),
+])
+def test_a_resolution_beyond_double_precision_names_the_quantity(resolution, line, tmp_path,
+                                                                 capsys):
+    out = tmp_path / "out"
+    assert main(["budget", "--resolution-pm", resolution, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
 def test_config_file_with_a_byte_order_mark(monkeypatch, tmp_path):
     (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbfseed = 3\n")
     seen = []
@@ -576,11 +588,11 @@ TABLES = st.integers(1, 8).flatmap(lambda width: st.tuples(
     st.lists(st.tuples(*[CELL] * width), max_size=40)))
 
 
-def _write_table(out, columns, rows, fmt):
+def _write_table(out, columns, rows, fmt, fixed=None):
     """cli._write_table into `out`; returns the config it wrote with."""
     config = parse_config("", ["subcommand=electron", f"format={fmt}", f"out={out}"])
     with contextlib.redirect_stdout(io.StringIO()):
-        cli._write_table(Path(out), "table", columns, rows, config, wavelength=1.5)
+        cli._write_table(Path(out), "table", columns, rows, config, fixed=fixed, wavelength=1.5)
     return config
 
 
@@ -646,6 +658,44 @@ def test_a_non_finite_profile_cell_in_the_last_chunk_exits_1(monkeypatch, tmp_pa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0]
     assert not out.exists()
+
+
+def _with_fixed(columns, rows, k, name, value):
+    """The columns with `name` at position k, and each row with `value` there."""
+    return columns[:k] + (name,) + columns[k:], [row[:k] + (value,) + row[k:] for row in rows]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(table=TABLES, value=CELL, data=st.data())
+def test_a_fixed_column_is_written_as_if_every_row_held_it(table, value, data):
+    columns, rows = table
+    name = data.draw(NAME.filter(lambda c: c not in columns))
+    k = data.draw(st.integers(0, len(columns)))
+    full_columns, full_rows = _with_fixed(columns, rows, k, name, value)
+    with tempfile.TemporaryDirectory() as out:
+        config = _write_table(out, full_columns, rows, "csv", {name: value})
+        expected_json, expected_csv = table_texts(config, full_columns, full_rows, wavelength=1.5)
+        assert (Path(out) / "table.json").read_text(encoding="utf-8") == expected_json
+        assert (Path(out) / "table.csv").read_text(encoding="utf-8") == expected_csv
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("count", [0, 1, CHUNK, CHUNK + 1])
+def test_a_fixed_column_across_chunk_boundaries(count, k, tmp_path):
+    rows = [((r + 1) / 3, -(r + 1) / 7) for r in range(count)]
+    columns, full_rows = _with_fixed(("a", "b"), rows, k, "t", -1e-300)
+    config = _write_table(tmp_path, columns, iter(rows), "csv", {"t": -1e-300})
+    expected_json, expected_csv = table_texts(config, columns, full_rows, wavelength=1.5)
+    assert (tmp_path / "table.json").read_text(encoding="utf-8") == expected_json
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == expected_csv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_fixed_value_refuses_the_table(fmt, bad, tmp_path):
+    with pytest.raises(DomainError):
+        _write_table(tmp_path / "out", ("a", "t"), [(0.5,)] * (CHUNK + 1), fmt, {"t": bad})
+    assert not (tmp_path / "out").exists()
 
 
 def test_table_writer_heap_peak_stays_within_2_5_times_the_bytes_written(tmp_path):

@@ -8,20 +8,22 @@ never exits 2 (argparse's usage error).
 
 An argv names one subcommand and, each with probability 1/2, each of
 its options and the globals `seed` and `format`. The flag is the one
-`cli.build_parser()` gives the key. A float is drawn from the ends of
-the double range and of every registry interval, or from all finite
-doubles; an int from the interval ends, 0, -1, 10**400 and small ints;
-a tuple one component at a time; a value with choices from its choices.
+`cli.build_parser()` gives the key. Half the time a number is drawn near
+its default, from half to twice it (from -1 to 1 around 0), so that more
+argv are accepted. Otherwise a float is drawn from the ends of the double
+range and of every registry interval, or from all finite doubles; an int
+from the interval ends, 0, -1, 10**400 and small ints; a tuple one
+component at a time. A value with choices is drawn from its choices.
 
 Work bound: an argv the registry accepts is assumed away if it asks for
 more than 10**3 profile points, 10**3 curve settings, 10**4 Monte Carlo
 trials or 2*10**4 RK4 steps (as `spin_dynamics.schedule` counts them).
 Refused argv, including a step count `schedule` refuses, always stay in.
 
-Two argv are pinned with `example`: `electron --zmin=-1.7e+308` broke
-the contract when `phase` lost its finiteness check, and
-`electron --rho0=1.7e+308` when the writer allowed NaN. Most drawn argv
-are refused by some option, so the draws alone reach each of those
+Two argv are pinned with `example`: `electron --zmin=-1.7e+308` breaks
+the contract if `phase` or `profile_rows` loses its finiteness test, and
+`electron --rho0=1.7e+308` if the writer allows NaN. About a third of
+the drawn argv are accepted, but the draws alone reach each of those
 faults in under one example in a hundred.
 """
 
@@ -49,20 +51,34 @@ EDGES = [sign * x for sign in (1.0, -1.0) for x in (0.0, 5e-324, 1e-300, 1e300, 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+def _near(default):
+    """A float from half to twice `default`, or in [-1, 1] around a default of 0."""
+    return st.floats(*sorted((default / 2, default * 2))) if default else st.floats(-1.0, 1.0)
+
+
 def _value(opt):
-    """Flag text for one registry key: its interval's finite ends come with their neighbours."""
+    """Flag text for one registry key: half the time near its default, else from the edges.
+
+    The edges are the double range's and those of the key's interval, each finite
+    interval end with its neighbours. A mapped strategy is one branch of `|`, so
+    the two halves are drawn equally often.
+    """
     if opt.choices is not None:
         return st.sampled_from(opt.choices).map(str)
     ends = [end for end in _ends(opt.within) if math.isfinite(end)] if opt.within else []
     if isinstance(opt.default, int):
         edges = {int(end) + d for end in ends for d in (-1, 0, 1)} | {0, -1, 10**400}
-        return (st.sampled_from(sorted(edges)) | st.integers(0, 9)).map(str)
+        near = st.integers(opt.default // 2, opt.default * 2)
+        return near.map(str) | (st.sampled_from(sorted(edges)) | st.integers(0, 9)).map(str)
     edges = EDGES + [x for end in ends for x in (math.nextafter(end, -math.inf), end,
                                                  math.nextafter(end, math.inf))]
     floats = st.sampled_from(edges) | FINITE
     if isinstance(opt.default, tuple):
-        return st.tuples(*[floats] * len(opt.default)).map(lambda v: ",".join(map(repr, v)))
-    return floats.map(repr)
+        def text(v):
+            return ",".join(map(repr, v))
+        return (st.tuples(*map(_near, opt.default)).map(text)
+                | st.tuples(*[floats] * len(opt.default)).map(text))
+    return _near(opt.default).map(repr) | floats.map(repr)
 
 
 def _flag(name, key):

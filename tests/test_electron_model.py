@@ -482,5 +482,20 @@ class TestProfileRowsOracle:
             profile_rows(PlaneWaveElectron(rho0=1.0, u=1.0, phi=0.0), [0.0, 1.0], 0.0)
 
     def test_phase_overflow_is_a_domain_error(self, e):
-        with pytest.raises(DomainError, match="phase"):
+        # the text `phase` words, although profile_rows tests theta inline
+        with pytest.raises(DomainError, match=r"^the phase at z = 1e\+308, t = 0\.0 exceeds "
+                                              r"double precision$"):
             profile_rows(e, [0.0, 1e308], 0.0)
+
+    def test_a_finite_grid_never_calls_phase(self, e, monkeypatch):
+        """theta is `phase`'s formula inline; `phase` itself only words a refusal."""
+        calls = []
+        phase = PlaneWaveElectron.phase
+
+        def counted(self, z, t):
+            calls.append((z, t))
+            return phase(self, z, t)
+
+        monkeypatch.setattr(PlaneWaveElectron, "phase", counted)
+        profile = profile_rows(e, [k * 1e-3 for k in range(10_000)], 0.25)
+        assert len(profile) == 10_000 and calls == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from electronlab.constants import HBAR, M_E
+from electronlab.constants import EV, HBAR, M_E, PM
 from electronlab.errors import DomainError
 from electronlab.uncertainty import (
     budget_report,
@@ -116,6 +116,23 @@ class TestComplianceEnergy:
         dp = momentum_uncertainty(0.08)
         dx = position_uncertainty(dp, 0.5)
         assert 0.5 * HBAR / (dx * 1e-12) == pytest.approx(dp, rel=1e-12)
+
+    @pytest.mark.parametrize("target, message", [
+        # the target is 0 m, where the division used to raise a bare ZeroDivisionError
+        (1e-320, r"^target position uncertainty in m must lie in \(0, inf\), got 0\.0$"),
+        # dp * dp overflows, where the function used to return inf
+        (1e-310, r"^compliance energy in eV must lie in \[0, inf\), got inf$"),
+        (7.2e-153, r"^compliance energy in eV must lie in \[0, inf\), got inf$"),
+    ])
+    def test_a_target_beyond_double_precision_names_the_quantity(self, target, message):
+        with pytest.raises(DomainError, match=message):
+            compliance_energy(target)
+
+    # from the smallest target with a finite energy to the largest double, whose energy is 0.0
+    @pytest.mark.parametrize("target", [7.3e-153, 1e-100, 20.0, 1e300, 1.7976931348623157e308])
+    def test_accepted_targets_keep_their_value(self, target):
+        dp = 0.5 * HBAR / (target * PM)
+        assert compliance_energy(target) == dp * dp / (2.0 * M_E) / EV
 
 
 class TestBudgetReport:
