@@ -89,11 +89,13 @@ def _write_table(out: Path, name: str, columns, rows, config: RunConfig, fixed=N
     csv_parts = [f"# version = {__version__}\n"]
     csv_parts += [f"# {key} = {_fmt(value)}\n" for key, value in config.resolved().items()]
     csv_parts.append(",".join(columns) + "\n")
-    rows = iter(rows)
+    rows, width = iter(rows), len(columns) - len(cells)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         # one pass of json's C encoder writes each cell as its repr and rejects
         # NaN and infinity; both files are built from these tokens
-        tokens = tuple(_strict_json(list(chain.from_iterable(chunk)))[1:-1].split(", "))
+        # (rows without cells encode as "[]", which holds no token)
+        tokens = (tuple(_strict_json(list(chain.from_iterable(chunk)))[1:-1].split(", "))
+                  if width else ())
         json_parts += (",\n".join([item] * len(chunk)) % tokens, ",\n")
         if config.format == "csv":
             csv_parts.append("\n".join([line] * len(chunk)) % tokens + "\n")
