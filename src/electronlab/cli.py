@@ -13,6 +13,7 @@ configurations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -72,6 +73,10 @@ def _write_table(out: Path, name: str, columns, rows, config: RunConfig, fixed=N
     the metadata and the table. Both texts are built before any file is
     written, so a rejected run writes no file.
 
+    A cell's token is its `repr`, the text json's encoder writes for a
+    float. A NaN or infinity is refused: a chunk whose cells have a finite
+    sum holds none, and any other chunk is checked cell by cell.
+
     Memory: rows are encoded `_CHUNK_ROWS` at a time, so besides what
     `rows` holds the writer keeps one chunk of cell tokens and the two
     texts, each as a list of per-chunk pieces that is joined once, just
@@ -85,20 +90,27 @@ def _write_table(out: Path, name: str, columns, rows, config: RunConfig, fixed=N
                          for c in columns)
     item = "    {\n" + fields + "\n    }"
     line = ",".join(cells.get(c, "%s") for c in columns)
+
+    def templates(count: int) -> tuple[str, str]:
+        """The JSON and CSV text of `count` rows, a `%s` for each cell token."""
+        return ",\n".join([item] * count), "\n".join([line] * count) + "\n"
+
+    full = templates(_CHUNK_ROWS)
     json_parts = [text[:-len("[]\n}\n")] + "[\n"]
     csv_parts = [f"# version = {__version__}\n"]
     csv_parts += [f"# {key} = {_fmt(value)}\n" for key, value in config.resolved().items()]
     csv_parts.append(",".join(columns) + "\n")
-    rows, width = iter(rows), len(columns) - len(cells)
+    rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        # one pass of json's C encoder writes each cell as its repr and rejects
-        # NaN and infinity; both files are built from these tokens
-        # (rows without cells encode as "[]", which holds no token)
-        tokens = (tuple(_strict_json(list(chain.from_iterable(chunk)))[1:-1].split(", "))
-                  if width else ())
-        json_parts += (",\n".join([item] * len(chunk)) % tokens, ",\n")
+        values = list(chain.from_iterable(chunk))
+        # a sum that overflows or a non-finite cell: json's encoder refuses NaN and infinity
+        if not math.isfinite(sum(values)):
+            _strict_json(values)
+        json_rows, csv_rows = full if len(chunk) == _CHUNK_ROWS else templates(len(chunk))
+        tokens = tuple(map(repr, values))  # both files are built from these tokens
+        json_parts += (json_rows % tokens, ",\n")
         if config.format == "csv":
-            csv_parts.append("\n".join([line] * len(chunk)) % tokens + "\n")
+            csv_parts.append(csv_rows % tokens)
     if len(json_parts) > 1:
         json_parts[-1] = "\n  ]\n}\n"  # in place of the separator after the last chunk
     else:
@@ -283,8 +295,9 @@ def _add_flag(parser: argparse.ArgumentParser, opt: Option):
                         help=opt.help + (f" in {opt.within}" if opt.within else ""))
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse front end, generated from `config.REGISTRY`."""
+    """The argparse front end, generated from `config.REGISTRY`, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     for opt in REGISTRY.values():
         if "." not in opt.key and opt.key != "subcommand":

@@ -39,7 +39,7 @@ _OPTIONS = [
     Option("format", "csv", choices=("csv", "json"),
            help="tabular artifact format; reports are always JSON"),
 
-    Option("electron.rho0", 1.0, help="mass-density amplitude"),
+    Option("electron.rho0", 1.0, help="mass-density amplitude", within="(0, inf)"),
     Option("electron.u", 1.0, help="mechanical velocity"),
     Option("electron.helicity", "+", choices=("+", "-")),
     Option("electron.zmin", 0.0),
@@ -47,7 +47,8 @@ _OPTIONS = [
     Option("electron.points", 256, help="profile samples", within=f"[1, {MAX_ROWS}]"),
     Option("electron.t", 0.0),
     Option("electron.units", "atomic", choices=tuple(UNIT_SYSTEMS)),
-    Option("electron.field_split", 0.5, help="fraction of the field energy carried by E"),
+    Option("electron.field_split", 0.5, help="fraction of the field energy carried by E",
+           within="(0, 1)"),
 
     Option("epr.mode", "curve", choices=("curve", "chsh", "singles")),
     Option("epr.phi1_deg", 0.0, help="reference analyzer angle"),
@@ -72,10 +73,10 @@ _OPTIONS = [
     Option("sterngerlach.threshold", 0.99, help="deflection cutoff", within="(0, 1)"),
     Option("sterngerlach.record_every", 1, help="steps per record", within="[1, inf)"),
 
-    Option("budget.band_energy_mev", 80.0),
-    Option("budget.resolution_pm", 20.0),
-    Option("budget.feature_pm", 30.0),
-    Option("budget.error_pm", 0.1),
+    Option("budget.band_energy_mev", 80.0, help="band energy (meV)", within="(0, inf)"),
+    Option("budget.resolution_pm", 20.0, help="lateral resolution (pm)", within="(0, inf)"),
+    Option("budget.feature_pm", 30.0, help="feature height (pm)", within="(0, inf)"),
+    Option("budget.error_pm", 0.1, help="height error (pm)", within="[0, inf)"),
     Option("budget.convention", 0.5, choices=(0.5, 1.0)),
 ]
 

@@ -207,16 +207,19 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
     A trial is a hit when r < cos(x)**2 in float64, with x = base + phi0
     and base the analyzer angle reduced to [0, 2pi), so that x keeps
     every bit of phi0 that matters at any angle. A float32 cos**2 screens
-    the trials: the screen is off from the float64 value by at most
-    2**-21 + 2**-23*x + 2**-24 (cosine, cast of x, square), and the band
-    2**-17 + (base + 2pi)*2**-20 is at least 8 times that. Trials whose
-    draw is farther than the band from the screen are decided by it; the
-    rest are decided in float64. The difference r - screen is held
-    rounded to float32, and the band is compared in float32 too; each
-    rounding moves its value by at most 2**-24 of itself, so a trial the
-    screen decides has |r - screen| above half the band, four times the
-    screen error, and r - cos(x)**2 has the sign the float32 difference
-    keeps. So the hits are exactly those of the float64 rule.
+    the trials: the screen s is off from the float64 value by at most
+    e = 2**-21 + 2**-23*x + 2**-24 (cosine, cast of x, square). The
+    difference fl32(r) - s is taken in float32; the cast moves r, which
+    lies in [0, 1), by at most 2**-25, and the band
+    2**-17 + (base + 2pi)*2**-20 is at least 8 times e + 2**-25. Trials
+    whose float32 difference exceeds the band in magnitude are decided by
+    the screen; the rest are decided in float64 from r itself. The band is
+    compared in float32 too, and the subtraction and the band's cast each
+    move a value by at most 2**-24 of itself, so a trial the screen
+    decides has |fl32(r) - s| above half the band and |r - s| above half
+    the band less 2**-25, more than e; r - cos(x)**2 then has the sign
+    the float32 difference keeps. So the hits are exactly those of the
+    float64 rule.
     """
     one_of(side, SIDES, "side")
     within(n, "[1, inf)", "trial count")
@@ -240,7 +243,7 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
                 x += base
                 d = np.cos(x, out=diff[:m], dtype=np.float32, casting="same_kind")
                 d *= d
-                np.subtract(r, d, out=d, casting="same_kind")
+                np.subtract(r, d, out=d, dtype=np.float32, casting="same_kind")
                 hits += np.count_nonzero(np.less(d, -band, out=mask[:m]))
                 near = np.flatnonzero(np.less_equal(np.abs(d, out=d), band, out=mask[:m]))
                 hits += np.count_nonzero(r[near] < np.cos(x[near]) ** 2)

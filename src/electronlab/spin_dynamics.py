@@ -189,23 +189,26 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
     for c in (wx, wy, wz):  # a non-finite component would turn every later state into NaN
         within(c, "(-inf, inf)", "precession vector kappa*(u x dB/dt) component")
     ex, ey, ez = state0.e_s
-    sixth = h / 6.0
+    hh, sixth = 0.5 * h, h / 6.0
     ts, xs, ys, zs = array("d", [0.0]), array("d", [ex]), array("d", [ey]), array("d", [ez])
+    # bound once, so the loop does no attribute lookups
+    t_append, x_append, y_append, z_append = ts.append, xs.append, ys.append, zs.append
+    sqrt = math.sqrt
 
     for k in range(steps):
         t0 = k * h
-        g1, g2, g3 = shape(t0), shape(t0 + 0.5 * h), shape(t0 + h)
+        g1, g2, g3 = shape(t0), shape(t0 + hh), shape(t0 + h)
 
         k1x = g1 * (ey * wz - ez * wy)
         k1y = g1 * (ez * wx - ex * wz)
         k1z = g1 * (ex * wy - ey * wx)
 
-        ax, ay, az = ex + 0.5 * h * k1x, ey + 0.5 * h * k1y, ez + 0.5 * h * k1z
+        ax, ay, az = ex + hh * k1x, ey + hh * k1y, ez + hh * k1z
         k2x = g2 * (ay * wz - az * wy)
         k2y = g2 * (az * wx - ax * wz)
         k2z = g2 * (ax * wy - ay * wx)
 
-        ax, ay, az = ex + 0.5 * h * k2x, ey + 0.5 * h * k2y, ez + 0.5 * h * k2z
+        ax, ay, az = ex + hh * k2x, ey + hh * k2y, ez + hh * k2z
         k3x = g2 * (ay * wz - az * wy)
         k3y = g2 * (az * wx - ax * wz)
         k3z = g2 * (ax * wy - ay * wx)
@@ -219,17 +222,17 @@ def integrate(state0: SpinState, ramp: FieldRamp, params: LLParams,
         ey += sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         ez += sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
 
-        inv = 1.0 / math.sqrt(ex * ex + ey * ey + ez * ez)
+        inv = 1.0 / sqrt(ex * ex + ey * ey + ez * ez)
         ex *= inv
         ey *= inv
         ez *= inv
 
         if (k + 1) % record_every == 0 or k + 1 == steps:
             t = ramp.duration if k + 1 == steps else (k + 1) * h
-            ts.append(t)
-            xs.append(ex)
-            ys.append(ey)
-            zs.append(ez)
+            t_append(t)
+            x_append(ex)
+            y_append(ey)
+            z_append(ez)
 
     SpinState((ex, ey, ez))  # the one unit-length check, for every record
     return Trajectory(ts, xs, ys, zs)

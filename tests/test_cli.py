@@ -497,6 +497,36 @@ def test_negative_value_after_a_space_is_a_value(spaced, joined, tmp_path):
     assert artifacts[0] == artifacts[1]
 
 
+def test_one_parser_serves_every_call_and_keeps_no_state(tmp_path, monkeypatch):
+    """Each run through the shared parser ends as a run through a fresh one does."""
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [["electron", "--bogus", "1"], ["electron", "--points", "0"], ["--version"],
+             ["epr", "--curve", "--step-deg", "30", "--out", "out"]]
+
+    def outcomes(fresh):
+        """Exit code, stdout, stderr and artifacts of each argv, run in order."""
+        results = []
+        for k, argv in enumerate(argvs):
+            if fresh:
+                cli.build_parser.cache_clear()
+            (tmp_path / f"{fresh}{k}").mkdir()
+            monkeypatch.chdir(tmp_path / f"{fresh}{k}")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = f"SystemExit({exc.code})"
+            out = Path("out")
+            files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+            results.append((code, stdout.getvalue(), stderr.getvalue(), files))
+        return results
+
+    shared = outcomes(fresh=False)
+    assert [code for code, *_ in shared] == ["SystemExit(2)", 1, "SystemExit(0)", 0]
+    assert shared == outcomes(fresh=True)
+
+
 def test_unknown_flag_is_argparse_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["electron", "--bogus", "1"])
@@ -576,6 +606,26 @@ def test_table_writer_across_chunk_boundaries(count, width, tmp_path):
 def test_a_non_finite_cell_in_the_last_chunk_refuses_the_whole_table(fmt, tmp_path):
     rows = [(float(r), 0.5) for r in range(2 * CHUNK + 1)]
     rows[-1] = (rows[-1][0], math.inf)
+    with pytest.raises(DomainError):
+        _write_table(tmp_path / "out", ("a", "b"), rows, fmt)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_finite_cells_whose_sum_overflows_are_written(count, tmp_path):
+    """A chunk's cells summing to infinity are checked one by one, and all are finite."""
+    rows = [((-1) ** r * 1.7e308,) * 2 for r in range(count)]
+    config = _write_table(tmp_path, ("a", "b"), iter(rows), "csv")
+    expected_json, expected_csv = table_texts(config, ("a", "b"), rows, wavelength=1.5)
+    assert (tmp_path / "table.json").read_text(encoding="utf-8") == expected_json
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == expected_csv
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_cell_in_a_chunk_whose_sum_overflows_is_refused(fmt, bad, tmp_path):
+    rows = [(1.7e308, 1.7e308)] * (2 * CHUNK + 1)
+    rows[CHUNK + 5] = (1.7e308, bad)  # the second chunk's sum is infinite at its first row
     with pytest.raises(DomainError):
         _write_table(tmp_path / "out", ("a", "b"), rows, fmt)
     assert not (tmp_path / "out").exists()

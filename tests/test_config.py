@@ -150,6 +150,10 @@ INSIDE = [
     ("sterngerlach.record_every", "1"), ("sterngerlach.record_every", str(10**400)),  # > max float
     ("seed", "0"), ("seed", str(10**400)),
     ("epr.workers", "1"), ("epr.workers", str(10**400)),
+    ("electron.rho0", "5e-324"), ("electron.field_split", "5e-324"),
+    ("electron.field_split", repr(math.nextafter(1.0, 0.0))),
+    ("budget.band_energy_mev", "5e-324"), ("budget.resolution_pm", "5e-324"),
+    ("budget.feature_pm", "5e-324"), ("budget.error_pm", "0.0"),
 ]
 OUTSIDE = [
     ("electron.points", "0"), ("electron.points", "1000001"),
@@ -159,6 +163,9 @@ OUTSIDE = [
     ("sterngerlach.record_every", "0"),
     ("seed", "-1"),
     ("epr.workers", "0"),
+    ("electron.rho0", "0.0"), ("electron.field_split", "0.0"), ("electron.field_split", "1.0"),
+    ("budget.band_energy_mev", "0.0"), ("budget.resolution_pm", "0.0"),
+    ("budget.feature_pm", "0.0"), ("budget.error_pm", "-5e-324"),
 ]
 
 

@@ -42,7 +42,6 @@ import re
 import shutil
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -165,8 +164,7 @@ def _csv_rows(path):
 def _run(argv, out):
     """Exit code, stdout, stderr and the bytes of each file in `out` of `main(argv)`."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-            mock.patch.object(cli, "build_parser", lambda: _PARSER):  # building it takes 3 ms
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.main(argv + [f"--out={out}"])
         except SystemExit as exc:
