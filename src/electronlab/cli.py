@@ -22,6 +22,8 @@ from array import array
 from itertools import chain, islice
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, epr_model, spin_dynamics
 from .config import MAX_ROWS, REGISTRY, Option, RunConfig, parse_config
 from .constants import COHESIVE_POTENTIAL_EV, UNIT_SYSTEMS
@@ -140,11 +142,12 @@ def _run_electron(config: RunConfig, out: Path) -> int:
         field_split=p["electron.field_split"],
     )
     if points == 1:
-        zs = array("d", [zmin])
+        zs = [zmin]
     else:
         within(zmax - zmin, "(0, inf)", "electron.zmax - electron.zmin")
         step = (zmax - zmin) / (points - 1)
-        zs = array("d", (zmin + i * step for i in range(points)))
+        with np.errstate(all="ignore"):  # the profile refuses an overflowing z by name
+            zs = zmin + np.arange(points) * step
     z, _, *others = profile_rows(electron, zs, p["electron.t"]).columns  # z, t, ...
     # the writer reads the seven other packed columns a row tuple at a time, drops
     # each chunk's tuples once they are encoded and writes the one t token in every row
@@ -224,7 +227,9 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
 
     bx, by, bz = ramp.b_dir
     t, ex, ey, ez = trajectory.t, trajectory.ex, trajectory.ey, trajectory.ez
-    dots = array("d", (x * bx + y * by + z * bz for x, y, z in zip(ex, ey, ez)))
+    with np.errstate(all="ignore"):  # the writer refuses a non-finite dot_B
+        dots = array("d", (np.frombuffer(ex) * bx + np.frombuffer(ey) * by
+                           + np.frombuffer(ez) * bz).tobytes())
     _write_table(out, "sterngerlach_trajectory", ("t", "ex", "ey", "ez", "dot_B"),
                  zip(t, ex, ey, ez, dots), config)
 
@@ -254,10 +259,11 @@ def _run_budget(config: RunConfig, out: Path) -> int:
         convention_factor=p["budget.convention"],
     )
     fields = budget.as_dict()
+    text = _json_text(config, budget=fields)  # built first, so a refused report prints nothing
     width = max(len(k) for k in fields)
     for key, value in fields.items():
         print(f"{key:<{width}}  {_fmt(value)}")
-    _write(out / "budget.json", _json_text(config, budget=fields))
+    _write(out / "budget.json", text)
     return 0
 
 

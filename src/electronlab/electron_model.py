@@ -26,7 +26,10 @@ import math
 from array import array
 from collections import abc
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Sequence
+
+import numpy as np
 
 from . import ga3
 from .constants import ATOMIC_UNITS, UnitSystem
@@ -36,6 +39,8 @@ HELICITIES = ("plus", "minus")
 
 PROFILE_COLUMNS = ("z", "t", "rho", "omega_kin", "omega_field", "S",
                    "psi_scalar", "psi_pseudo")
+
+_BLOCK = 4096  # points per numpy pass in `profile_rows`; bounds its scratch arrays
 
 
 @dataclass(frozen=True)
@@ -234,12 +239,18 @@ class Profile(abc.Sequence):
 def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> Profile:
     """Sample the standard profile columns over a grid of positions.
 
-    One phase per point: theta is `phase`'s formula inline, with its
-    velocity check made once. With c = cos(2*theta), rho = rho0/2*(1 + c)
-    and S = rho0/2*(1 - c); every other column follows from those and
-    sin(theta). The z and t columns are built whole, not per point. The
-    per-point methods (`density`, `kinetic_energy_density`, `field_energy_density`,
-    `spin_density`, `wavefunction`) are the oracle: each cell equals theirs exactly.
+    One phase per point: theta is `phase`'s formula, with its velocity
+    check made once. With c = cos(2*theta), rho = rho0/2*(1 + c) and
+    S = rho0/2*(1 - c); every other column follows from those and
+    sin(theta). The per-point methods (`density`, `kinetic_energy_density`,
+    `field_energy_density`, `spin_density`, `wavefunction`) are the oracle:
+    each cell equals theirs exactly.
+
+    The columns are computed `_BLOCK` points at a time. numpy runs the
+    correctly rounded operations (+, -, *, / and sqrt) in the methods'
+    order, so each gives the bits Python's floats give; cos, sin and the
+    square of sin stay libm's `math.cos`, `math.sin` and `pow`, whose
+    bits numpy's own loops do not promise.
     """
     e._require_quarter_phase()
     within(e.u, "(0, inf)", "velocity")  # phase's check, once for the whole grid
@@ -247,24 +258,23 @@ def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> P
     half_u2 = 0.5 * e.u**2
     amplitude = e._field_amplitude
     sign = e.helicity_sign
-    # phase's operations in phase's order, so theta is the same double
     two_pi, wavelength, shift = 2.0 * math.pi, e.wavelength, 2.0 * math.pi * e.nu * t
-    isfinite, cos, sin, sqrt = math.isfinite, math.cos, math.sin, math.sqrt
-    zs = array("d", z_values)
+    zs = array("d", np.asarray(z_values, dtype=np.float64).tobytes())
     columns = (zs, array("d", [t]) * len(zs)) + tuple(array("d") for _ in PROFILE_COLUMNS[2:])
-    add_rho, add_kin, add_field, add_s, add_scalar, add_pseudo = (
-        column.append for column in columns[2:])
-    for z in zs:
-        theta = two_pi * z / wavelength - shift
-        if not isfinite(2.0 * theta):
-            e.phase(z, t)  # raises phase's own message
-        c = cos(2.0 * theta)
-        rho = half_rho0 * (1.0 + c)
-        s = half_rho0 * (1.0 - c)
-        add_rho(rho)
-        add_kin(half_u2 * rho)
-        add_field(amplitude * sin(theta) ** 2)
-        add_s(s)
-        add_scalar(sqrt(rho))
-        add_pseudo(sign * sqrt(s))
+    grid = np.frombuffer(zs)
+    with np.errstate(all="ignore"):  # an overflowing phase is refused by name below
+        for start in range(0, len(zs), _BLOCK):
+            theta = two_pi * grid[start:start + _BLOCK] / wavelength - shift
+            two_theta = 2.0 * theta
+            finite = np.isfinite(two_theta)
+            if not finite.all():
+                e.phase(zs[start + int(finite.argmin())], t)  # raises phase's own message
+            c = np.fromiter(map(math.cos, two_theta.tolist()), np.float64, len(theta))
+            sin2 = np.fromiter(map(pow, map(math.sin, theta.tolist()), repeat(2.0)),
+                               np.float64, len(theta))
+            rho = half_rho0 * (1.0 + c)
+            s = half_rho0 * (1.0 - c)
+            for column, values in zip(columns[2:], (rho, half_u2 * rho, amplitude * sin2, s,
+                                                    np.sqrt(rho), sign * np.sqrt(s))):
+                column.frombytes(values.tobytes())
     return Profile(columns)

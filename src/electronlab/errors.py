@@ -3,8 +3,8 @@
 `within` refuses a value outside an interval and `one_of` a value outside a set
 of choices; every single-value bound is checked by one of them, so each refusal
 reads the same way. `within` parses each interval string once. Only `phase` keeps
-its own text, naming z and t; `profile_rows` inlines its test (0.66 us a point,
-against 1.05 us calling `phase`). Own text also stays where a check raises another type
+its own text, naming z and t; `profile_rows` tests a block of phases at once and calls
+`phase` only to word a refusal. Own text also stays where a check raises another type
 (`_require_quarter_phase`), is relative (`total_energy`), bounds no single value
 (force axis, wavefunction grade, `cli._strict_json`) or is a type rule (`config._finite`).
 """

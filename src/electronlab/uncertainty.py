@@ -42,7 +42,9 @@ def relative_feature_error(feature_height_pm: float, height_error_pm: float) -> 
     """Height error over feature height, dimensionless."""
     within(feature_height_pm, "(0, inf)", "feature height")
     within(height_error_pm, "[0, inf)", "height error")
-    return height_error_pm / feature_height_pm
+    ratio = height_error_pm / feature_height_pm
+    within(ratio, "[0, inf)", "relative feature error")  # 1e308 pm over 1e-320 pm is inf
+    return ratio
 
 
 def compliance_energy(target_dx_pm: float, mass: float = M_E,

@@ -3,10 +3,10 @@
 Every run of `main` ends one of two ways: exit 0 with RFC 8259 JSON
 artifacts (no NaN or Infinity token), each CSV holding the rows of its
 JSON mirror and stdout naming each file once; or exit 1 with one
-`error:` line on stderr and no `--out` directory. It never raises and
-never exits 2 (argparse's usage error). The same values in a `--config`
-file give the same exit code, stdout and artifacts, and the same error
-after its `line N:` or `override:` prefix.
+`error:` line on stderr, nothing on stdout and no `--out` directory. It
+never raises and never exits 2 (argparse's usage error). The same values
+in a `--config` file give the same exit code, stdout and artifacts, and
+the same error after its `line N:` or `override:` prefix.
 
 An argv names one subcommand and, each with probability 1/2, each of
 its options and the globals `seed` and `format`. The flag is the one
@@ -25,12 +25,13 @@ more than 10**3 profile points, 10**3 curve settings, 10**4 Monte Carlo
 trials or 2*10**4 RK4 steps (as `spin_dynamics.schedule` counts them).
 Refused argv, including a step count `schedule` refuses, always stay in.
 
-Three argv are pinned with `example`: `electron --zmin=-1.7e+308` breaks
+Four argv are pinned with `example`: `electron --zmin=-1.7e+308` breaks
 the contract if `phase` or `profile_rows` loses its finiteness test,
-`electron --rho0=1.7e+308` if the writer allows NaN, and
-`electron --u=1.7e+308` if `main` lets `u**2`'s OverflowError escape.
-The draws alone reach each of those faults in under one example in a
-hundred.
+`electron --rho0=1.7e+308` if the writer allows NaN,
+`electron --u=1.7e+308` if `main` lets `u**2`'s OverflowError escape,
+and `budget --feature-pm=1e-320 --error-pm=1e+308` if a refused budget
+prints its report first. The draws alone reach each of those faults in
+under one example in a hundred.
 """
 
 import argparse
@@ -178,6 +179,7 @@ def _run(argv, out):
 @example(argv=["electron", "--zmin=-1.7e+308"])
 @example(argv=["electron", "--rho0=1.7e+308"])
 @example(argv=["electron", "--u=1.7e+308"])
+@example(argv=["budget", "--feature-pm=1e-320", "--error-pm=1e+308"])
 def test_every_argv_keeps_the_exit_contract(argv):
     assume(_within_work_bound(argv))
     with tempfile.TemporaryDirectory() as tmp:
@@ -198,6 +200,7 @@ def test_every_argv_keeps_the_exit_contract(argv):
             lines = stderr.splitlines()
             assert code == 1, argv
             assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+            assert stdout == "", (argv, stdout)
             assert not out.exists(), argv
         # the same values as `key=value` lines of a config file: the same run, and the same
         # error after its prefix

@@ -6,7 +6,7 @@ import tracemalloc
 from collections import abc
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from electronlab import ga3
@@ -14,6 +14,7 @@ from electronlab.constants import ATOMIC_UNITS, SI_UNITS
 from electronlab.electron_model import (
     HELICITIES,
     PROFILE_COLUMNS,
+    _BLOCK,
     PlaneWaveElectron,
     Profile,
     WavefunctionSample,
@@ -448,6 +449,11 @@ class TestProfile:
         assert peak / len(profile) < 100
 
 
+# two whole blocks and one point, so the last block `profile_rows` computes is partial
+_seam_rng = random.Random(7)
+SEAM_GRID = [_seam_rng.uniform(-1e4, 1e4) for _ in range(2 * _BLOCK + 1)]
+
+
 class TestProfileRowsOracle:
     """One phase per point must give exactly what the per-point methods give."""
 
@@ -456,6 +462,7 @@ class TestProfileRowsOracle:
            st.sampled_from([ATOMIC_UNITS, SI_UNITS]),
            st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=20),
            st.floats(min_value=-1e3, max_value=1e3))
+    @example((1.3, 2.7, 0.3), "minus", ATOMIC_UNITS, SEAM_GRID, 0.25)
     def test_cells_equal_the_per_point_methods(self, p, helicity, units, zs, t):
         rho0, u, split = p
         e = PlaneWaveElectron(rho0=rho0, u=u, helicity=helicity, units=units,
@@ -482,10 +489,12 @@ class TestProfileRowsOracle:
             profile_rows(PlaneWaveElectron(rho0=1.0, u=1.0, phi=0.0), [0.0, 1.0], 0.0)
 
     def test_phase_overflow_is_a_domain_error(self, e):
-        # the text `phase` words, although profile_rows tests theta inline
-        with pytest.raises(DomainError, match=r"^the phase at z = 1e\+308, t = 0\.0 exceeds "
-                                              r"double precision$"):
-            profile_rows(e, [0.0, 1e308], 0.0)
+        # the text `phase` words, naming the first z that overflows, in the first block
+        # or past it, although profile_rows tests theta a block at a time
+        for zs in ([0.0, 1e308], SEAM_GRID[:_BLOCK + 1] + [1e308, -1e308]):
+            with pytest.raises(DomainError, match=r"^the phase at z = 1e\+308, t = 0\.0 "
+                                                  r"exceeds double precision$"):
+                profile_rows(e, zs, 0.0)
 
     def test_a_finite_grid_never_calls_phase(self, e, monkeypatch):
         """theta is `phase`'s formula inline; `phase` itself only words a refusal."""

@@ -230,6 +230,12 @@ def test_a_precession_vector_that_overflows_is_refused():
         integrate(UP, linear_ramp(1.0, 1.0, (1.0, 0.0, 0.0)), params)
 
 
+def test_a_relative_feature_error_that_overflows_is_refused():
+    with pytest.raises(DomainError, match=r"^relative feature error must lie in \[0, inf\), "
+                                          r"got inf$"):
+        relative_feature_error(1e-320, 1e308)
+
+
 def test_finite_angles_whose_difference_overflows_are_refused():
     with pytest.raises(DomainError, match=r"^setting difference must lie in .*, got inf$"):
         expectation(AnalyzerPair(BIG, -BIG))
