@@ -18,8 +18,6 @@ import json
 import math
 import re
 import sys
-from array import array
-from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +39,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_NON_FINITE = "the run produced a non-finite value; the inputs exceed double precision"
+
+
 def _strict_json(obj, indent=None) -> str:
     """RFC 8259 JSON: a NaN or infinity is an error, not a token."""
     try:
         return json.dumps(obj, indent=indent, allow_nan=False)
     except ValueError:
-        raise DomainError("the run produced a non-finite value; "
-                          "the inputs exceed double precision") from None
+        raise DomainError(_NON_FINITE) from None
 
 
 def _json_text(config: RunConfig, **fields) -> str:
@@ -66,28 +66,34 @@ def _write(path: Path, text: str):
 _CHUNK_ROWS = 1024  # rows encoded per pass; only one chunk's cell tokens are alive at once
 
 
-def _write_table(out: Path, name: str, columns, rows, config: RunConfig, fixed=None, **header):
+def _write_table(out: Path, name: str, table, config: RunConfig, **header):
     """Tabular artifact in the configured format (CSV gets a JSON mirror).
 
-    `rows` is any iterable of float tuples in column order, without the
-    columns in `fixed`, which maps a column to the one float every row
-    holds; it is encoded once. `header` entries go into the JSON between
-    the metadata and the table. Both texts are built before any file is
-    written, so a rejected run writes no file.
+    `table` maps each column name, in order, to its float column (an
+    `array('d')`, a float64 ndarray or a row of one), all of one length;
+    `header` entries go into the JSON between the metadata and the table.
+    A table holding a NaN or infinity is refused, and both texts are built
+    before any file is written, so a refused run writes no file.
 
     A cell's token is its `repr`, the text json's encoder writes for a
-    float. A NaN or infinity is refused: a chunk whose cells have a finite
-    sum holds none, and any other chunk is checked cell by cell.
-
-    Memory: rows are encoded `_CHUNK_ROWS` at a time, so besides what
-    `rows` holds the writer keeps one chunk of cell tokens and the two
-    texts, each as a list of per-chunk pieces that is joined once, just
-    before its write.
+    float. A column whose cells share one bit pattern (`-0.0` is not `0.0`)
+    is encoded once. Each `_CHUNK_ROWS` rows are copied from the column
+    slices into one float64 block and encoded, so besides the columns the
+    writer keeps one chunk of tokens and the two texts, each as a list of
+    per-chunk pieces that is joined once, just before its write.
     """
+    columns = {c: np.asarray(column, dtype=np.float64) for c, column in table.items()}
+    cells = {}  # the token of each constant column
+    for c, column in columns.items():
+        if not np.isfinite(column).all():  # json's encoder refuses NaN and infinity
+            raise DomainError(_NON_FINITE)
+        bits = column.view(np.int64)
+        if len(bits) and (bits == bits[0]).all():
+            cells[c] = repr(float(column[0]))  # no % in a float's token
+    varying = [column for c, column in columns.items() if c not in cells]
     text = _json_text(config, **header, columns=list(columns), rows=[])
     # json's indent=2 layout; "rows" is the last key, so the text ends in `[]\n}\n`
     # a `%` in a column name is doubled, so the template reads it as text
-    cells = {c: _strict_json(v) for c, v in (fixed or {}).items()}  # no % in a float's token
     fields = ",\n".join(f"      {json.dumps(c).replace('%', '%%')}: {cells.get(c, '%s')}"
                          for c in columns)
     item = "    {\n" + fields + "\n    }"
@@ -102,14 +108,14 @@ def _write_table(out: Path, name: str, columns, rows, config: RunConfig, fixed=N
     csv_parts = [f"# version = {__version__}\n"]
     csv_parts += [f"# {key} = {_fmt(value)}\n" for key, value in config.resolved().items()]
     csv_parts.append(",".join(columns) + "\n")
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        values = list(chain.from_iterable(chunk))
-        # a sum that overflows or a non-finite cell: json's encoder refuses NaN and infinity
-        if not math.isfinite(sum(values)):
-            _strict_json(values)
+    rows = len(next(iter(columns.values())))
+    block = np.empty((_CHUNK_ROWS, len(varying)))
+    for start in range(0, rows, _CHUNK_ROWS):
+        chunk = block[:rows - start]
+        for j, column in enumerate(varying):
+            chunk[:, j] = column[start:start + _CHUNK_ROWS]
         json_rows, csv_rows = full if len(chunk) == _CHUNK_ROWS else templates(len(chunk))
-        tokens = tuple(map(repr, values))  # both files are built from these tokens
+        tokens = tuple(map(repr, chunk.ravel().tolist()))  # both files are built from these
         json_parts += (json_rows % tokens, ",\n")
         if config.format == "csv":
             csv_parts.append(csv_rows % tokens)
@@ -148,12 +154,10 @@ def _run_electron(config: RunConfig, out: Path) -> int:
         step = (zmax - zmin) / (points - 1)
         with np.errstate(all="ignore"):  # the profile refuses an overflowing z by name
             zs = zmin + np.arange(points) * step
-    z, _, *others = profile_rows(electron, zs, p["electron.t"]).columns  # z, t, ...
-    # the writer reads the seven other packed columns a row tuple at a time, drops
-    # each chunk's tuples once they are encoded and writes the one t token in every row
-    _write_table(out, "electron_profile", PROFILE_COLUMNS, zip(z, *others), config,
-                 fixed={"t": p["electron.t"]}, wavelength=electron.wavelength, nu=electron.nu,
-                 E0=electron.E0, H0=electron.H0, cohesive_potential_ev=COHESIVE_POTENTIAL_EV)
+    profile = profile_rows(electron, zs, p["electron.t"])
+    _write_table(out, "electron_profile", dict(zip(PROFILE_COLUMNS, profile.columns)), config,
+                 wavelength=electron.wavelength, nu=electron.nu, E0=electron.E0,
+                 H0=electron.H0, cohesive_potential_ev=COHESIVE_POTENTIAL_EV)
     print(f"electron profile: {len(zs)} samples, wavelength = {_fmt(electron.wavelength)}")
     return 0
 
@@ -169,13 +173,11 @@ def _run_epr(config: RunConfig, out: Path) -> int:
     if mode == "curve":
         step = p["epr.step_deg"]
         count = int(round(360.0 / step))
-        phis, es = array("d"), array("d")
-        for i in range(count):
-            phi_deg = i * step
-            phis.append(phi_deg)
-            # E reads phi1 - phi2 only, so phi1 stays out of the arithmetic
-            es.append(epr_model.expectation(epr_model.AnalyzerPair(0.0, radians(phi_deg), delta)))
-        _write_table(out, "epr_curve", ("phi_deg", "E"), zip(phis, es), config)
+        phis = np.arange(count) * step  # each product rounds once, as i * step does
+        # E reads phi1 - phi2 only, so phi1 stays out of the arithmetic
+        es = np.fromiter((epr_model.expectation(epr_model.AnalyzerPair(0.0, radians(phi), delta))
+                          for phi in phis.tolist()), np.float64, count)
+        _write_table(out, "epr_curve", {"phi_deg": phis, "E": es}, config)
         print(f"correlation curve: {len(phis)} settings")
         return 0
 
@@ -228,10 +230,9 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     bx, by, bz = ramp.b_dir
     t, ex, ey, ez = trajectory.t, trajectory.ex, trajectory.ey, trajectory.ez
     with np.errstate(all="ignore"):  # the writer refuses a non-finite dot_B
-        dots = array("d", (np.frombuffer(ex) * bx + np.frombuffer(ey) * by
-                           + np.frombuffer(ez) * bz).tobytes())
-    _write_table(out, "sterngerlach_trajectory", ("t", "ex", "ey", "ez", "dot_B"),
-                 zip(t, ex, ey, ez, dots), config)
+        dots = np.frombuffer(ex) * bx + np.frombuffer(ey) * by + np.frombuffer(ez) * bz
+    _write_table(out, "sterngerlach_trajectory",
+                 {"t": t, "ex": ex, "ey": ey, "ez": ez, "dot_B": dots}, config)
 
     t_final, final = trajectory[-1]
     # the configured direction, so that the label is decided by the dot_B it reports
@@ -243,8 +244,8 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
         ramp={"shape": p["sterngerlach.ramp"], "b_dir": list(ramp.b_dir), "rate": rate,
               "duration": duration, "dt": params.dt},
         threshold=threshold,
-        final={"t": t_final, "e_s": list(final.e_s), "dot_B": dots[-1]}))
-    print(f"deflection: {label} (e_s . B = {_fmt(dots[-1])})")
+        final={"t": t_final, "e_s": list(final.e_s), "dot_B": float(dots[-1])}))
+    print(f"deflection: {label} (e_s . B = {_fmt(float(dots[-1]))})")
     return 0
 
 

@@ -23,7 +23,6 @@ spin stays the geometric product of the fields.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import abc
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -215,25 +214,25 @@ class WavefunctionSample:
 
 
 class Profile(abc.Sequence):
-    """The samples `profile_rows` computed, as eight `array('d')` columns.
+    """The samples `profile_rows` computed, as one `(8, n)` float64 array.
 
-    `columns` holds them in `PROFILE_COLUMNS` order, 8 B a cell and no
-    Python object per point. Row k is a dict keyed by `PROFILE_COLUMNS`,
-    built when it is read.
+    `columns` is that array, a row per column in `PROFILE_COLUMNS` order,
+    8 B a cell and no Python object per point. Row k is a dict of Python
+    floats keyed by `PROFILE_COLUMNS`, built when it is read.
     """
 
     __slots__ = ("columns",)
 
-    def __init__(self, columns: tuple[array, ...]):
+    def __init__(self, columns: np.ndarray):
         self.columns = columns
 
     def __len__(self) -> int:
-        return len(self.columns[0])
+        return self.columns.shape[1]
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return [self[i] for i in range(*k.indices(len(self)))]
-        return dict(zip(PROFILE_COLUMNS, [column[k] for column in self.columns]))
+        return dict(zip(PROFILE_COLUMNS, self.columns[:, k].tolist()))
 
 
 def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> Profile:
@@ -259,22 +258,20 @@ def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> P
     amplitude = e._field_amplitude
     sign = e.helicity_sign
     two_pi, wavelength, shift = 2.0 * math.pi, e.wavelength, 2.0 * math.pi * e.nu * t
-    zs = array("d", np.asarray(z_values, dtype=np.float64).tobytes())
-    columns = (zs, array("d", [t]) * len(zs)) + tuple(array("d") for _ in PROFILE_COLUMNS[2:])
-    grid = np.frombuffer(zs)
+    table = np.empty((len(PROFILE_COLUMNS), len(z_values)))
+    table[0], table[1] = z_values, t
     with np.errstate(all="ignore"):  # an overflowing phase is refused by name below
-        for start in range(0, len(zs), _BLOCK):
-            theta = two_pi * grid[start:start + _BLOCK] / wavelength - shift
+        for start in range(0, table.shape[1], _BLOCK):
+            theta = two_pi * table[0, start:start + _BLOCK] / wavelength - shift
             two_theta = 2.0 * theta
             finite = np.isfinite(two_theta)
             if not finite.all():
-                e.phase(zs[start + int(finite.argmin())], t)  # raises phase's own message
+                e.phase(float(table[0, start + finite.argmin()]), t)  # raises phase's own message
             c = np.fromiter(map(math.cos, two_theta.tolist()), np.float64, len(theta))
             sin2 = np.fromiter(map(pow, map(math.sin, theta.tolist()), repeat(2.0)),
                                np.float64, len(theta))
             rho = half_rho0 * (1.0 + c)
             s = half_rho0 * (1.0 - c)
-            for column, values in zip(columns[2:], (rho, half_u2 * rho, amplitude * sin2, s,
-                                                    np.sqrt(rho), sign * np.sqrt(s))):
-                column.frombytes(values.tobytes())
-    return Profile(columns)
+            table[2:, start:start + _BLOCK] = (rho, half_u2 * rho, amplitude * sin2, s,
+                                               np.sqrt(rho), sign * np.sqrt(s))
+    return Profile(table)

@@ -9,6 +9,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+from array import array
 from pathlib import Path
 
 import pytest
@@ -553,11 +554,13 @@ TABLES = st.integers(1, 8).flatmap(lambda width: st.tuples(
     st.lists(st.tuples(*[CELL] * width), max_size=40)))
 
 
-def _write_table(out, columns, rows, fmt, fixed=None):
-    """cli._write_table into `out`; returns the config it wrote with."""
+def _write_table(out, columns, rows, fmt):
+    """cli._write_table of `rows`, one `array('d')` per column, into `out`; returns the config."""
+    rows = list(rows)
+    table = {c: array("d", [row[j] for row in rows]) for j, c in enumerate(columns)}
     config = parse_config("", ["subcommand=electron", f"format={fmt}", f"out={out}"])
     with contextlib.redirect_stdout(io.StringIO()):
-        cli._write_table(Path(out), "table", columns, rows, config, fixed=fixed, wavelength=1.5)
+        cli._write_table(Path(out), "table", table, config, wavelength=1.5)
     return config
 
 
@@ -653,12 +656,13 @@ def _with_fixed(columns, rows, k, name, value):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(table=TABLES, value=CELL, data=st.data())
 def test_a_fixed_column_is_written_as_if_every_row_held_it(table, value, data):
+    """A column holding one value in every row is encoded once, with the bytes of each cell."""
     columns, rows = table
     name = data.draw(NAME.filter(lambda c: c not in columns))
     k = data.draw(st.integers(0, len(columns)))
     full_columns, full_rows = _with_fixed(columns, rows, k, name, value)
     with tempfile.TemporaryDirectory() as out:
-        config = _write_table(out, full_columns, rows, "csv", {name: value})
+        config = _write_table(out, full_columns, full_rows, "csv")
         expected_json, expected_csv = table_texts(config, full_columns, full_rows, wavelength=1.5)
         assert (Path(out) / "table.json").read_text(encoding="utf-8") == expected_json
         assert (Path(out) / "table.csv").read_text(encoding="utf-8") == expected_csv
@@ -670,8 +674,20 @@ def test_a_fixed_column_is_written_as_if_every_row_held_it(table, value, data):
 def test_a_fixed_column_across_chunk_boundaries(count, others, k, tmp_path):
     rows = [((r + 1) / 3, -(r + 1) / 7)[:len(others)] for r in range(count)]
     columns, full_rows = _with_fixed(others, rows, k, "t", -1e-300)
-    config = _write_table(tmp_path, columns, iter(rows), "csv", {"t": -1e-300})
+    config = _write_table(tmp_path, columns, iter(full_rows), "csv")
     expected_json, expected_csv = table_texts(config, columns, full_rows, wavelength=1.5)
+    assert (tmp_path / "table.json").read_text(encoding="utf-8") == expected_json
+    assert (tmp_path / "table.csv").read_text(encoding="utf-8") == expected_csv
+
+
+@pytest.mark.parametrize("zero, other", [(0.0, -0.0), (-0.0, 0.0)])
+@pytest.mark.parametrize("at", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK])
+def test_a_column_of_both_signed_zeros_is_written_cell_by_cell(zero, other, at, tmp_path):
+    """`0.0 == -0.0`, so only a comparison of bit patterns keeps the odd zero's sign."""
+    rows = [(r / 3, zero) for r in range(2 * CHUNK + 1)]
+    rows[at] = (rows[at][0], other)
+    config = _write_table(tmp_path, ("a", "b"), rows, "csv")
+    expected_json, expected_csv = table_texts(config, ("a", "b"), rows, wavelength=1.5)
     assert (tmp_path / "table.json").read_text(encoding="utf-8") == expected_json
     assert (tmp_path / "table.csv").read_text(encoding="utf-8") == expected_csv
 
@@ -679,9 +695,11 @@ def test_a_fixed_column_across_chunk_boundaries(count, others, k, tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_fixed_value_refuses_the_table(fmt, bad, tmp_path):
-    with pytest.raises(DomainError):
-        _write_table(tmp_path / "out", ("a", "t"), [(0.5,)] * (CHUNK + 1), fmt, {"t": bad})
-    assert not (tmp_path / "out").exists()
+    """A column holding one NaN or infinity in every row, beside another column or alone."""
+    for columns, row in ((("a", "t"), (0.5, bad)), (("t",), (bad,))):
+        with pytest.raises(DomainError, match=r"^the run produced a non-finite value; "):
+            _write_table(tmp_path / "out", columns, [row] * (CHUNK + 1), fmt)
+        assert not (tmp_path / "out").exists()
 
 
 def test_table_writer_heap_peak_stays_within_2_5_times_the_bytes_written(tmp_path):
@@ -696,7 +714,7 @@ def test_table_writer_heap_peak_stays_within_2_5_times_the_bytes_written(tmp_pat
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            cli._write_table(tmp_path, "table", ("a", "b", "c", "d", "e"), rows, config)
+            cli._write_table(tmp_path, "table", dict(zip("abcde", zip(*rows))), config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

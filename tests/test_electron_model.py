@@ -452,6 +452,10 @@ class TestProfile:
 # two whole blocks and one point, so the last block `profile_rows` computes is partial
 _seam_rng = random.Random(7)
 SEAM_GRID = [_seam_rng.uniform(-1e4, 1e4) for _ in range(2 * _BLOCK + 1)]
+# points of the 10⁴-point golden profile (rho0 = u = 1 at this t) where libm's
+# pow(sin θ, 2) and sin θ * sin θ, numpy's square, differ in the last bit
+SQUARE_T = 3.8188730948830703
+SQUARE_ZS = [-14.27019699571547, -11.578086266730203, -10.683037809616083]
 
 
 class TestProfileRowsOracle:
@@ -463,6 +467,7 @@ class TestProfileRowsOracle:
            st.lists(st.floats(min_value=-1e4, max_value=1e4), min_size=1, max_size=20),
            st.floats(min_value=-1e3, max_value=1e3))
     @example((1.3, 2.7, 0.3), "minus", ATOMIC_UNITS, SEAM_GRID, 0.25)
+    @example((1.0, 1.0, 0.5), "plus", ATOMIC_UNITS, SQUARE_ZS, SQUARE_T)
     def test_cells_equal_the_per_point_methods(self, p, helicity, units, zs, t):
         rho0, u, split = p
         e = PlaneWaveElectron(rho0=rho0, u=u, helicity=helicity, units=units,
