@@ -174,7 +174,6 @@ def _run_epr(config: RunConfig, out: Path) -> int:
         step = p["epr.step_deg"]
         count = int(round(360.0 / step))
         phis = np.arange(count) * step  # each product rounds once, as i * step does
-        # E reads phi1 - phi2 only, so phi1 stays out of the arithmetic
         es = np.fromiter((epr_model.expectation(epr_model.AnalyzerPair(0.0, radians(phi), delta))
                           for phi in phis.tolist()), np.float64, count)
         _write_table(out, "epr_curve", {"phi_deg": phis, "E": es}, config)
@@ -196,8 +195,7 @@ def _run_epr(config: RunConfig, out: Path) -> int:
     # singles
     n = p["epr.n"]
     hits, rate = epr_model.monte_carlo_singles(
-        radians(p["epr.angle_deg"]), side="A", delta=delta,
-        n=n, seed=config.seed, workers=p["epr.workers"])
+        radians(p["epr.angle_deg"]), n=n, seed=config.seed, workers=p["epr.workers"])
     stderr = math.sqrt(rate * (1.0 - rate) / n)
     _write(out / "epr_singles.json", _json_text(
         config, angle_deg=p["epr.angle_deg"], n=n, hits=hits, rate=rate, stderr=stderr))

@@ -51,7 +51,6 @@ _OPTIONS = [
            within="(0, 1)"),
 
     Option("epr.mode", "curve", choices=("curve", "chsh", "singles")),
-    Option("epr.phi1_deg", 0.0, help="reference analyzer angle"),
     Option("epr.delta_deg", 0.0, help="source phase difference"),
     # round(360 / step) settings, from 1 to MAX_ROWS
     Option("epr.step_deg", 1.0, help="curve resolution", within=f"[{360 / MAX_ROWS}, 720)"),

@@ -16,7 +16,6 @@ M_E = 9.1093837015e-31      # kg    electron mass
 EV = 1.602176634e-19        # J     electron volt (exact)
 EPS0 = 8.8541878128e-12     # F/m   vacuum permittivity
 MU0 = 1.25663706212e-6      # N/A^2 vacuum permeability
-C_LIGHT = 299792458.0       # m/s   (exact)
 ALPHA_INV = 137.035999084   # inverse fine-structure constant
 
 PM = 1e-12                  # m per picometre

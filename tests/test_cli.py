@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -50,6 +51,15 @@ def read_csv(path):
         else:
             rows.append(dict(zip(header, line.split(","))))
     return meta, header, rows
+
+
+def _artifacts(argv, out):
+    """Each file a run of `argv` writes, by name, as its text without the config echo."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(out)]) == 0
+    echo = r'(?ms)^#.*?\n|^  "config": \{\n.*?^  \},\n'  # CSV `#` lines, JSON "config"
+    return {path.name: re.sub(echo, "", path.read_text(encoding="utf-8"))
+            for path in out.iterdir()}
 
 
 class TestChsh:
@@ -155,23 +165,16 @@ class TestEprCurveAndSingles:
         payload = read_json(tmp_path / "epr_curve.json")
         assert payload["rows"][0]["E"] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("phi1", ["1e16", "1e20"])
-    def test_curve_keeps_the_residue_of_a_huge_reference_angle(self, phi1, tmp_path):
-        main(["epr", "--curve", "--phi1-deg", phi1, "--step-deg", "45",
-              "--format", "json", "--out", str(tmp_path)])
-        rows = read_json(tmp_path / "epr_curve.json")["rows"]
+    @pytest.mark.parametrize("delta", ["1e16", "1e20"])
+    def test_curve_keeps_the_residue_of_a_huge_reference_angle(self, delta, tmp_path):
+        """1e16 and 1e20 are 280 modulo 360, so the rows are the bytes of --delta-deg 280."""
+        runs = [_artifacts(["epr", "--curve", "--delta-deg", angle, "--step-deg", "45"],
+                           tmp_path / angle) for angle in (delta, "280")]
+        assert runs[0] == runs[1]
+        rows = read_json(tmp_path / delta / "epr_curve.json")["rows"]
         assert len(rows) == 8
         for row in rows:
-            assert abs(row["E"] - math.cos(2.0 * math.radians(row["phi_deg"]))) <= 1e-12
-
-    def test_curve_rows_are_the_same_bytes_at_every_reference_angle(self, tmp_path):
-        rows = []
-        for phi1 in ("0", "30", "1e20"):
-            main(["epr", "--curve", "--phi1-deg", phi1, "--delta-deg", "10",
-                  "--format", "json", "--out", str(tmp_path / phi1)])
-            text = (tmp_path / phi1 / "epr_curve.json").read_text(encoding="utf-8")
-            rows.append(text[text.index('"rows": '):])  # the last key, after the config echo
-        assert rows[0] == rows[1] == rows[2]
+            assert abs(row["E"] - math.cos(2.0 * math.radians(row["phi_deg"] + 280.0))) <= 1e-12
 
     def test_singles_report(self, tmp_path):
         code = main(["epr", "--singles", "--angle", "30", "--n", "20000",
@@ -259,13 +262,13 @@ class TestSternGerlach:
 class TestErrorSurfacing:
     def test_flag_overrides_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
-        config.write_text("epr.phi1_deg = 0\nepr.mode = curve\nepr.step_deg = 90\n",
+        config.write_text("epr.delta_deg = 0\nepr.mode = curve\nepr.step_deg = 90\n",
                           encoding="utf-8")
-        code = main(["epr", "--config", str(config), "--phi1-deg", "45",
+        code = main(["epr", "--config", str(config), "--delta-deg", "45",
                      "--format", "json", "--out", str(tmp_path)])
         assert code == 0
         payload = read_json(tmp_path / "epr_curve.json")
-        assert payload["config"]["epr.phi1_deg"] == 45.0
+        assert payload["config"]["epr.delta_deg"] == 45.0
 
     def test_domain_error_exits_nonzero(self, tmp_path, capsys):
         code = main(["electron", "--rho0", "-1", "--out", str(tmp_path)])
@@ -303,12 +306,12 @@ class TestErrorSurfacing:
         assert "epr.phase" in capsys.readouterr().err
 
 
-# Every registry key, spelled as a user types it, with a non-default value.
+# Every registry key, spelled as a user types it, with a non-default value, in a run that reads it.
 FLAG_CASES = {
     "subcommand": (["budget"], "budget"),
-    "seed": (["budget", "--seed", "7"], 7),
+    "seed": (["epr", "--singles", "--seed", "7"], 7),
     "out": (["budget", "--out", "elsewhere"], "elsewhere"),
-    "format": (["budget", "--format", "json"], "json"),
+    "format": (["electron", "--format", "json"], "json"),
     "electron.rho0": (["electron", "--rho0", "2.5"], 2.5),
     "electron.u": (["electron", "--u", "0.5"], 0.5),
     "electron.helicity": (["electron", "--helicity", "-"], "-"),
@@ -319,13 +322,12 @@ FLAG_CASES = {
     "electron.units": (["electron", "--units", "si"], "si"),
     "electron.field_split": (["electron", "--field-split", "0.25"], 0.25),
     "epr.mode": (["epr", "--chsh"], "chsh"),
-    "epr.phi1_deg": (["epr", "--phi1-deg", "30"], 30.0),
     "epr.delta_deg": (["epr", "--delta-deg", "45"], 45.0),
     "epr.step_deg": (["epr", "--step-deg", "5"], 5.0),
-    "epr.angles_deg": (["epr", "--angles", "0,90,45,135"], (0.0, 90.0, 45.0, 135.0)),
-    "epr.angle_deg": (["epr", "--angle", "30"], 30.0),
-    "epr.n": (["epr", "--n", "1000"], 1000),
-    "epr.workers": (["epr", "--workers", "4"], 4),
+    "epr.angles_deg": (["epr", "--chsh", "--angles", "0,90,45,135"], (0.0, 90.0, 45.0, 135.0)),
+    "epr.angle_deg": (["epr", "--singles", "--angle", "30"], 30.0),
+    "epr.n": (["epr", "--singles", "--n", "1000"], 1000),
+    "epr.workers": (["epr", "--singles", "--workers", "4"], 4),
     "sterngerlach.kappa": (["sterngerlach", "--kappa", "2.5"], 2.5),
     "sterngerlach.u": (["sterngerlach", "--u", "1,0,0"], (1.0, 0.0, 0.0)),
     "sterngerlach.bdir": (["sterngerlach", "--bdir", "0,1,0"], (0.0, 1.0, 0.0)),
@@ -352,6 +354,16 @@ def test_flag_sets_its_key(key, monkeypatch):
     monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
     assert main(argv) == 0
     assert seen[0].resolved()[key] == expected
+
+
+@pytest.mark.parametrize("key", sorted(set(REGISTRY) - {"subcommand", "out"}))
+def test_every_option_moves_its_run(key, tmp_path):
+    """A key's `FLAG_CASES` value moves the artifacts of the same subcommand and epr mode
+    at the default, past the config echo; the worker count alone, as README promises, not."""
+    argv = FLAG_CASES[key][0]
+    mode = [a for a in argv if a in ("--curve", "--chsh", "--singles") and key != "epr.mode"]
+    same = _artifacts(argv, tmp_path / "set") == _artifacts(argv[:1] + mode, tmp_path / "default")
+    assert same == (key == "epr.workers")
 
 
 REJECTED = [

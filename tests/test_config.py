@@ -37,10 +37,10 @@ class TestDefaults:
 
 class TestFileParsing:
     def test_file_sets_values(self):
-        text = "subcommand = epr\nepr.phi1_deg = 30\nseed = 7\n"
+        text = "subcommand = epr\nepr.delta_deg = 30\nseed = 7\n"
         cfg = parse_config(text)
         assert cfg.subcommand == "epr"
-        assert cfg.params["epr.phi1_deg"] == 30.0
+        assert cfg.params["epr.delta_deg"] == 30.0
         assert cfg.seed == 7
 
     def test_comments_and_blank_lines_ignored(self):
@@ -49,9 +49,9 @@ class TestFileParsing:
         assert cfg.subcommand == "budget"
 
     def test_override_beats_file(self):
-        cfg = parse_config("subcommand = epr\nepr.phi1_deg = 0\n",
-                           ["epr.phi1_deg=45"])
-        assert cfg.params["epr.phi1_deg"] == 45.0
+        cfg = parse_config("subcommand = epr\nepr.delta_deg = 0\n",
+                           ["epr.delta_deg=45"])
+        assert cfg.params["epr.delta_deg"] == 45.0
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -73,8 +73,8 @@ class TestFileParsing:
             parse_config("epr.phase1 = 7\n", ["subcommand=epr"])
 
     def test_type_mismatch_names_the_key(self):
-        with pytest.raises(ConfigError, match="epr.phi1_deg"):
-            parse_config("subcommand = epr\nepr.phi1_deg = banana\n")
+        with pytest.raises(ConfigError, match="epr.delta_deg"):
+            parse_config("subcommand = epr\nepr.delta_deg = banana\n")
 
     def test_choice_violation_names_the_key(self):
         with pytest.raises(ConfigError, match="format"):
