@@ -79,8 +79,8 @@ def _write_table(out: Path, name: str, table, config: RunConfig, **header):
     float. A column whose cells share one bit pattern (`-0.0` is not `0.0`)
     is encoded once. Each `_CHUNK_ROWS` rows are copied from the column
     slices into one float64 block and encoded, so besides the columns the
-    writer keeps one chunk of tokens and the two texts, each as a list of
-    per-chunk pieces that is joined once, just before its write.
+    writer keeps one chunk of tokens and the two texts, each grown in place
+    by each chunk's text. The CSV text is dropped once written.
     """
     columns = {c: np.asarray(column, dtype=np.float64) for c, column in table.items()}
     cells = {}  # the token of each constant column
@@ -104,11 +104,16 @@ def _write_table(out: Path, name: str, table, config: RunConfig, **header):
         return ",\n".join([item] * count), "\n".join([line] * count) + "\n"
 
     full = templates(_CHUNK_ROWS)
-    json_parts = [text[:-len("[]\n}\n")] + "[\n"]
-    csv_parts = [f"# version = {__version__}\n"]
-    csv_parts += [f"# {key} = {_fmt(value)}\n" for key, value in config.resolved().items()]
-    csv_parts.append(",".join(columns) + "\n")
     rows = len(next(iter(columns.values())))
+    # each text grows by `+=`: CPython resizes a str that holds its only reference
+    # in place, and glibc moves a large block with mremap, so no piece list and no
+    # join copy stands beside it (under sys.settrace the append copies instead)
+    json_text = text[:-len("[]\n}\n")] + "[\n" if rows else text
+    if config.format == "csv":
+        csv_text = f"# version = {__version__}\n"
+        for key, value in config.resolved().items():
+            csv_text += f"# {key} = {_fmt(value)}\n"
+        csv_text += ",".join(columns) + "\n"
     block = np.empty((_CHUNK_ROWS, len(varying)))
     for start in range(0, rows, _CHUNK_ROWS):
         chunk = block[:rows - start]
@@ -116,23 +121,17 @@ def _write_table(out: Path, name: str, table, config: RunConfig, **header):
             chunk[:, j] = column[start:start + _CHUNK_ROWS]
         json_rows, csv_rows = full if len(chunk) == _CHUNK_ROWS else templates(len(chunk))
         tokens = tuple(map(repr, chunk.ravel().tolist()))  # both files are built from these
-        json_parts += (json_rows % tokens, ",\n")
+        if start:
+            json_text += ",\n"
+        json_text += json_rows % tokens
         if config.format == "csv":
-            csv_parts.append(csv_rows % tokens)
-    if len(json_parts) > 1:
-        json_parts[-1] = "\n  ]\n}\n"  # in place of the separator after the last chunk
-    else:
-        json_parts = [text]
-    # each list is dropped once joined and each text once written, so at most
-    # one whole text is alive, beside the bytes its write encodes
+            csv_text += csv_rows % tokens
+    if rows:
+        json_text += "\n  ]\n}\n"
     if config.format == "csv":
-        text = "".join(csv_parts)
-        del csv_parts
-        _write(out / f"{name}.csv", text)
-        del text
-    text = "".join(json_parts)
-    del json_parts
-    _write(out / f"{name}.json", text)
+        _write(out / f"{name}.csv", csv_text)
+        del csv_text  # so that one text and the bytes its write encodes are alive at a time
+    _write(out / f"{name}.json", json_text)
 
 
 def _run_electron(config: RunConfig, out: Path) -> int:

@@ -195,14 +195,14 @@ def hidden_phase_samples(n: int, seed: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
-                        n: int = 1_000_000, seed: int = 0,
+def monte_carlo_singles(angle: float, n: int = 1_000_000, seed: int = 0,
                         workers: int = 1) -> tuple[int, float]:
     """Sample n single-detection trials over the hidden phase.
 
     Each trial draws phi0 uniform on [0, 2pi) and registers a hit with
     probability cos^2 of the rotated phase. Returns (hits, hits/n).
-    Fixed seed gives bit-identical results at any worker count.
+    Fixed seed gives bit-identical results at any worker count. Side B
+    at source phase delta samples as side A at angle + delta.
 
     A trial is a hit when r < cos(x)**2 in float64, with x = base + phi0
     and base the analyzer angle reduced to [0, 2pi), so that x keeps
@@ -221,13 +221,11 @@ def monte_carlo_singles(angle: float, side: str = SIDE_A, delta: float = 0.0,
     the float32 difference keeps. So the hits are exactly those of the
     float64 rule.
     """
-    one_of(side, SIDES, "side")
     within(n, "[1, inf)", "trial count")
     within(seed, "[0, inf)", "seed")
     within(workers, "[1, inf)", "worker count")
-    base = angle if side == SIDE_A else angle + delta
-    within(base, "(-inf, inf)", "analyzer angle")  # an infinite one would give no hits
-    base = reduce_angle(base)
+    within(angle, "(-inf, inf)", "analyzer angle")  # an infinite one would give no hits
+    base = reduce_angle(angle)
     band = 2.0 ** -17 + (base + TWO_PI) * 2.0 ** -20
 
     def run_blocks(share: list[tuple[int, int]]) -> int:

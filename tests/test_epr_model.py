@@ -48,9 +48,9 @@ def float64_blocks(n, seed):
         yield rng.uniform(0.0, 2.0 * math.pi, size), rng.random(size)
 
 
-def float64_hits(angle, side, delta, n, seed):
+def float64_hits(angle, n, seed):
     """The singles hit rule, all in float64, block by block, at the reduced angle."""
-    base = reduce_angle(angle if side == "A" else angle + delta)
+    base = reduce_angle(angle)
     return sum(int(np.count_nonzero(r < np.cos(base + phi0) ** 2))
                for phi0, r in float64_blocks(n, seed))
 
@@ -312,21 +312,16 @@ class TestMonteCarloSingles:
         _, r2 = monte_carlo_singles(1.0, n=n, seed=5)
         assert abs(r1 - r2) <= 6.0 * math.sqrt(0.25 / n)
 
-    def test_side_b_uses_source_phase(self):
-        a = monte_carlo_singles(0.4, side="B", delta=0.5, n=10_000, seed=3)
-        b = monte_carlo_singles(0.9, side="A", n=10_000, seed=3)
-        assert a == b
-
-    # both sides reduce the angle to [0, 2pi) first, so -1e3 and 1e300 are
-    # decided like any small angle; a float warning from either fails the test
+    # the angle is reduced to [0, 2pi) first, so -1e3 and 1e300 are decided like
+    # any small angle; a float warning from the sampler or the rule fails the test
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("angle", [0.0, math.pi / 4.0, 1e3, -1e3, 1e300])
     @pytest.mark.parametrize("n", [1, 65_535, 65_537, 3 * 65_536 + 5])
     def test_hits_equal_the_float64_rule(self, angle, n):
-        for seed, side, delta, workers in [(0, "A", 0.0, 1), (11, "B", 0.37, 2),
-                                           (2**31 - 1, "B", -2.5, 1), (5, "A", 0.9, 2)]:
-            hits = float64_hits(angle, side, delta, n, seed)
-            assert monte_carlo_singles(angle, side, delta, n=n, seed=seed,
+        for seed, delta, workers in [(0, 0.0, 1), (11, 0.37, 2), (2**31 - 1, -2.5, 1),
+                                     (5, 0.0, 2)]:
+            hits = float64_hits(angle + delta, n, seed)
+            assert monte_carlo_singles(angle + delta, n=n, seed=seed,
                                        workers=workers) == (hits, hits / n)
 
     # without the reduction, x = base + phi0 rounds phi0 to ulp(base): the CLI
@@ -355,8 +350,6 @@ class TestMonteCarloSingles:
             monte_carlo_singles(0.0, n=10, seed=-1)
         with pytest.raises(DomainError):
             monte_carlo_singles(0.0, n=10, seed=1, workers=0)
-        with pytest.raises(DomainError, match="side must be one of"):
-            monte_carlo_singles(0.0, "C", n=10, seed=1)
 
 
 class TestHiddenPhase:

@@ -150,7 +150,6 @@ SITES = [
      [TINY, BELOW_ONE], [0.0, 1.0, NAN]),
     ("side", SIDES, lambda v: rotor_phase(0.0, v), ["A", "B"], ["C", "a"]),
     ("side", SIDES, lambda v: single_probability(0.0, v), ["A", "B"], ["C", "a"]),
-    ("side", SIDES, lambda v: monte_carlo_singles(0.0, v, n=1, seed=0), ["A", "B"], ["C"]),
     ("known outcome", (PLUS, MINUS), lambda v: conditional_outcome(v, AnalyzerPair(0.0, 0.0)),
      [PLUS, MINUS], ["undetermined", "+"]),
     ("sample count", "[1, inf)", lambda v: hidden_phase_samples(v, seed=0), [1], [0]),
@@ -216,11 +215,6 @@ def test_first_value_outside_is_refused(call, name, bound, value):
     with pytest.raises(DomainError) as info:
         call(value)
     assert str(info.value) == refusal(name, bound, value)
-
-
-def test_an_angle_that_overflows_with_the_source_phase_is_refused():
-    with pytest.raises(DomainError, match=r"^analyzer angle must lie in \(-inf, inf\), got inf$"):
-        monte_carlo_singles(BIG, "B", delta=BIG, n=1, seed=0)
 
 
 def test_a_precession_vector_that_overflows_is_refused():
