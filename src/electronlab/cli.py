@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, epr_model, spin_dynamics
-from .config import MAX_ROWS, REGISTRY, Option, RunConfig, parse_config
+from .config import MAX_ROWS, REGISTRY, Option, parse_config
 from .constants import COHESIVE_POTENTIAL_EV, UNIT_SYSTEMS
 from .electron_model import PROFILE_COLUMNS, PlaneWaveElectron, profile_rows
 from .errors import ConfigError, DomainError, ElectronLabError, within
@@ -42,18 +42,14 @@ def _fmt(value) -> str:
 _NON_FINITE = "the run produced a non-finite value; the inputs exceed double precision"
 
 
-def _strict_json(obj, indent=None) -> str:
-    """RFC 8259 JSON: a NaN or infinity is an error, not a token."""
+def _json_text(config: dict, **fields) -> str:
+    """Every JSON artifact: the version, the configuration, then `fields`, as RFC 8259
+    JSON, so a NaN or infinity is an error, not a token."""
     try:
-        return json.dumps(obj, indent=indent, allow_nan=False)
+        return json.dumps({"version": __version__, "config": config, **fields},
+                          indent=2, allow_nan=False) + "\n"
     except ValueError:
         raise DomainError(_NON_FINITE) from None
-
-
-def _json_text(config: RunConfig, **fields) -> str:
-    """Every JSON artifact: the version, the resolved configuration, then `fields`."""
-    return _strict_json({"version": __version__, "config": config.resolved(), **fields},
-                        indent=2) + "\n"
 
 
 def _write(path: Path, text: str):
@@ -66,7 +62,7 @@ def _write(path: Path, text: str):
 _CHUNK_ROWS = 1024  # rows encoded per pass; only one chunk's cell tokens are alive at once
 
 
-def _write_table(out: Path, name: str, table, config: RunConfig, **header):
+def _write_table(out: Path, name: str, table, config: dict, **header):
     """Tabular artifact in the configured format (CSV gets a JSON mirror).
 
     `table` maps each column name, in order, to its float column (an
@@ -109,9 +105,9 @@ def _write_table(out: Path, name: str, table, config: RunConfig, **header):
     # in place, and glibc moves a large block with mremap, so no piece list and no
     # join copy stands beside it (under sys.settrace the append copies instead)
     json_text = text[:-len("[]\n}\n")] + "[\n" if rows else text
-    if config.format == "csv":
+    if config["format"] == "csv":
         csv_text = f"# version = {__version__}\n"
-        for key, value in config.resolved().items():
+        for key, value in config.items():
             csv_text += f"# {key} = {_fmt(value)}\n"
         csv_text += ",".join(columns) + "\n"
     block = np.empty((_CHUNK_ROWS, len(varying)))
@@ -124,27 +120,26 @@ def _write_table(out: Path, name: str, table, config: RunConfig, **header):
         if start:
             json_text += ",\n"
         json_text += json_rows % tokens
-        if config.format == "csv":
+        if config["format"] == "csv":
             csv_text += csv_rows % tokens
     if rows:
         json_text += "\n  ]\n}\n"
-    if config.format == "csv":
+    if config["format"] == "csv":
         _write(out / f"{name}.csv", csv_text)
         del csv_text  # so that one text and the bytes its write encodes are alive at a time
     _write(out / f"{name}.json", json_text)
 
 
-def _run_electron(config: RunConfig, out: Path) -> int:
+def _run_electron(config: dict, out: Path) -> int:
     """density/energy/wavefunction profiles"""
-    p = config.params
-    points = p["electron.points"]
-    zmin, zmax = p["electron.zmin"], p["electron.zmax"]
+    points = config["electron.points"]
+    zmin, zmax = config["electron.zmin"], config["electron.zmax"]
     electron = PlaneWaveElectron(
-        rho0=p["electron.rho0"],
-        u=p["electron.u"],
-        helicity="plus" if p["electron.helicity"] == "+" else "minus",
-        units=UNIT_SYSTEMS[p["electron.units"]],
-        field_split=p["electron.field_split"],
+        rho0=config["electron.rho0"],
+        u=config["electron.u"],
+        helicity="plus" if config["electron.helicity"] == "+" else "minus",
+        units=UNIT_SYSTEMS[config["electron.units"]],
+        field_split=config["electron.field_split"],
     )
     if points == 1:
         zs = [zmin]
@@ -153,7 +148,7 @@ def _run_electron(config: RunConfig, out: Path) -> int:
         step = (zmax - zmin) / (points - 1)
         with np.errstate(all="ignore"):  # the profile refuses an overflowing z by name
             zs = zmin + np.arange(points) * step
-    profile = profile_rows(electron, zs, p["electron.t"])
+    profile = profile_rows(electron, zs, config["electron.t"])
     _write_table(out, "electron_profile", dict(zip(PROFILE_COLUMNS, profile.columns)), config,
                  wavelength=electron.wavelength, nu=electron.nu, E0=electron.E0,
                  H0=electron.H0, cohesive_potential_ev=COHESIVE_POTENTIAL_EV)
@@ -161,16 +156,15 @@ def _run_electron(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_epr(config: RunConfig, out: Path) -> int:
+def _run_epr(config: dict, out: Path) -> int:
     """correlation curve, CHSH report, singles sampling"""
     def radians(deg: float) -> float:  # fmod is exact, so the residue modulo 360 survives
         return math.radians(math.fmod(deg, 360.0))
-    p = config.params
-    mode = p["epr.mode"]
-    delta = radians(p["epr.delta_deg"])
+    mode = config["epr.mode"]
+    delta = radians(config["epr.delta_deg"])
 
     if mode == "curve":
-        step = p["epr.step_deg"]
+        step = config["epr.step_deg"]
         count = int(round(360.0 / step))
         phis = np.arange(count) * step  # each product rounds once, as i * step does
         es = np.fromiter((epr_model.expectation(epr_model.AnalyzerPair(0.0, radians(phi), delta))
@@ -180,7 +174,7 @@ def _run_epr(config: RunConfig, out: Path) -> int:
         return 0
 
     if mode == "chsh":
-        degs = p["epr.angles_deg"]
+        degs = config["epr.angles_deg"]
         settings = epr_model.ChshSettings(*map(radians, degs))
         e_matrix = [[epr_model.expectation(epr_model.AnalyzerPair(a, b, delta))
                      for b in (settings.phi2, settings.phi2p)]
@@ -192,36 +186,35 @@ def _run_epr(config: RunConfig, out: Path) -> int:
         return 0
 
     # singles
-    n = p["epr.n"]
+    n = config["epr.n"]
     hits, rate = epr_model.monte_carlo_singles(
-        radians(p["epr.angle_deg"]), n=n, seed=config.seed, workers=p["epr.workers"])
+        radians(config["epr.angle_deg"]), n=n, seed=config["seed"], workers=config["epr.workers"])
     stderr = math.sqrt(rate * (1.0 - rate) / n)
     _write(out / "epr_singles.json", _json_text(
-        config, angle_deg=p["epr.angle_deg"], n=n, hits=hits, rate=rate, stderr=stderr))
+        config, angle_deg=config["epr.angle_deg"], n=n, hits=hits, rate=rate, stderr=stderr))
     print(f"singles rate = {_fmt(rate)} ({hits}/{n})")
     return 0
 
 
-def _run_sterngerlach(config: RunConfig, out: Path) -> int:
+def _run_sterngerlach(config: dict, out: Path) -> int:
     """spin trajectory in a ramping field"""
-    p = config.params
-    duration = p["sterngerlach.duration"]
-    rate = p["sterngerlach.brate"]
-    b_dir = p["sterngerlach.bdir"]
-    threshold = p["sterngerlach.threshold"]
+    duration = config["sterngerlach.duration"]
+    rate = config["sterngerlach.brate"]
+    b_dir = config["sterngerlach.bdir"]
+    threshold = config["sterngerlach.threshold"]
     within(spin_dynamics.norm(b_dir), "(0, inf)", "sterngerlach.bdir length")
-    if p["sterngerlach.ramp"] == "linear":
+    if config["sterngerlach.ramp"] == "linear":
         ramp = spin_dynamics.linear_ramp(rate, duration, b_dir)
     else:
         # same net field change as the linear ramp at this rate
         ramp = spin_dynamics.cosine_ramp(rate * duration, duration, b_dir)
-    params = spin_dynamics.LLParams(
-        kappa=p["sterngerlach.kappa"], u=p["sterngerlach.u"], dt=p["sterngerlach.dt"])
-    every = p["sterngerlach.record_every"]
+    params = spin_dynamics.LLParams(kappa=config["sterngerlach.kappa"],
+                                    u=config["sterngerlach.u"], dt=config["sterngerlach.dt"])
+    every = config["sterngerlach.record_every"]
     within(spin_dynamics.schedule(duration, params.dt, every)[1], f"[1, {MAX_ROWS}]",
            "row count of sterngerlach.duration / sterngerlach.dt / sterngerlach.record_every")
-    within(spin_dynamics.norm(p["sterngerlach.es0"]), "(0, inf)", "sterngerlach.es0 length")
-    state0 = spin_dynamics.SpinState.from_vector(p["sterngerlach.es0"])
+    within(spin_dynamics.norm(config["sterngerlach.es0"]), "(0, inf)", "sterngerlach.es0 length")
+    state0 = spin_dynamics.SpinState.from_vector(config["sterngerlach.es0"])
     trajectory = spin_dynamics.integrate(state0, ramp, params, record_every=every)
 
     bx, by, bz = ramp.b_dir
@@ -238,7 +231,7 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
         config,
         classification=label,
         kappa=params.kappa,
-        ramp={"shape": p["sterngerlach.ramp"], "b_dir": list(ramp.b_dir), "rate": rate,
+        ramp={"shape": config["sterngerlach.ramp"], "b_dir": list(ramp.b_dir), "rate": rate,
               "duration": duration, "dt": params.dt},
         threshold=threshold,
         final={"t": t_final, "e_s": list(final.e_s), "dot_B": float(dots[-1])}))
@@ -246,15 +239,14 @@ def _run_sterngerlach(config: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_budget(config: RunConfig, out: Path) -> int:
+def _run_budget(config: dict, out: Path) -> int:
     """measurement uncertainty budget"""
-    p = config.params
     budget = budget_report(
-        band_energy_ev=p["budget.band_energy_mev"] / 1000.0,
-        lateral_resolution_pm=p["budget.resolution_pm"],
-        feature_height_pm=p["budget.feature_pm"],
-        height_error_pm=p["budget.error_pm"],
-        convention_factor=p["budget.convention"],
+        band_energy_ev=config["budget.band_energy_mev"] / 1000.0,
+        lateral_resolution_pm=config["budget.resolution_pm"],
+        feature_height_pm=config["budget.feature_pm"],
+        height_error_pm=config["budget.error_pm"],
+        convention_factor=config["budget.convention"],
     )
     fields = budget.as_dict()
     text = _json_text(config, budget=fields)  # built first, so a refused report prints nothing
@@ -273,9 +265,9 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one resolved configuration and write its artifacts."""
-    return _RUNNERS[config.subcommand](config, Path(config.out))
+def run(config: dict) -> int:
+    """Dispatch the mapping `parse_config` returns and write the artifacts that echo it."""
+    return _RUNNERS[config["subcommand"]](config, Path(config["out"]))
 
 
 # The exceptions to the rule that key <subcommand>.<name> is the flag

@@ -3,8 +3,10 @@
 Config files are line oriented, one ``key = value`` per line, with ``#``
 comments and blank lines ignored. Flags arrive as ``key=value`` strings
 and win over file values, which win over the documented defaults. Keys
-outside the registry are rejected, and every run keeps its fully
-resolved configuration (defaults included) for embedding in artifacts.
+outside the registry are rejected. `parse_config` returns the one mapping
+that every artifact echoes: the globals `subcommand`, `seed`, `out` and
+`format` in registry order, then the subcommand's own keys sorted, defaults
+included, and no key of another subcommand.
 """
 
 from __future__ import annotations
@@ -86,29 +88,6 @@ REGISTRY = {opt.key: opt for opt in _OPTIONS}
 _CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved batch run."""
-
-    subcommand: str
-    seed: int
-    out: str
-    format: str
-    params: dict
-
-    def resolved(self) -> dict:
-        """Flat view of everything this run will use, defaults included."""
-        flat = {
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "out": self.out,
-            "format": self.format,
-        }
-        for key in sorted(self.params):
-            flat[key] = self.params[key]
-        return flat
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -152,8 +131,8 @@ def _assign(resolved: dict, key: str, raw: str, where: str):
     resolved[key] = _parse_value(opt, raw, where)
 
 
-def parse_config(file_text: str, overrides: Sequence[str] = ()) -> RunConfig:
-    """Resolve defaults, then the config file, then override flags."""
+def parse_config(file_text: str, overrides: Sequence[str] = ()) -> dict:
+    """Defaults, then the config file, then override flags: the mapping artifacts echo."""
     resolved = {opt.key: opt.default for opt in _OPTIONS}
 
     # the breaks universal newlines read; str.splitlines also breaks at \v, \x1c, U+2028 ...
@@ -177,12 +156,5 @@ def parse_config(file_text: str, overrides: Sequence[str] = ()) -> RunConfig:
     if subcommand is None:
         raise ConfigError("no subcommand selected")
 
-    prefix = subcommand + "."
-    params = {k: v for k, v in resolved.items() if k.startswith(prefix)}
-    return RunConfig(
-        subcommand=subcommand,
-        seed=resolved["seed"],
-        out=resolved["out"],
-        format=resolved["format"],
-        params=params,
-    )
+    own = sorted(k for k in resolved if k.startswith(subcommand + "."))
+    return {k: resolved[k] for k in [k for k in resolved if "." not in k] + own}

@@ -6,7 +6,7 @@ reads the same way. `within` parses each interval string once. Only `phase` keep
 its own text, naming z and t; `profile_rows` tests a block of phases at once and calls
 `phase` only to word a refusal. Own text also stays where a check raises another type
 (`_require_quarter_phase`), is relative (`total_energy`), bounds no single value
-(force axis, wavefunction grade, `cli._strict_json`) or is a type rule (`config._finite`).
+(force axis, wavefunction grade, `cli._json_text`) or is a type rule (`config._finite`).
 """
 
 import functools

@@ -31,10 +31,10 @@ def read_json(path):
 
 def table_texts(config, columns, rows, **header):
     """A table's JSON as json's indent=2 encoder writes it and its CSV with repr(v) cells."""
-    payload = {"version": __version__, "config": config.resolved(), **header,
+    payload = {"version": __version__, "config": config, **header,
                "columns": list(columns), "rows": [dict(zip(columns, row)) for row in rows]}
     lines = [f"# version = {__version__}"]
-    lines += [f"# {key} = {cli._fmt(value)}" for key, value in config.resolved().items()]
+    lines += [f"# {key} = {cli._fmt(value)}" for key, value in config.items()]
     lines.append(",".join(columns))
     lines += [",".join(repr(v) for v in row) for row in rows]
     return json.dumps(payload, indent=2, allow_nan=False) + "\n", "\n".join(lines) + "\n"
@@ -353,7 +353,7 @@ def test_flag_sets_its_key(key, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
     assert main(argv) == 0
-    assert seen[0].resolved()[key] == expected
+    assert seen[0][key] == expected
 
 
 @pytest.mark.parametrize("key", sorted(set(REGISTRY) - {"subcommand", "out"}))
@@ -478,7 +478,7 @@ def test_config_file_with_a_byte_order_mark(monkeypatch, tmp_path):
     seen = []
     monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
     assert main(["budget", "--config", str(tmp_path / "bom.cfg")]) == 0
-    assert seen[0].seed == 3
+    assert seen[0]["seed"] == 3
 
 
 @pytest.mark.parametrize("key", sorted(k for k, opt in REGISTRY.items() if opt.within))

@@ -12,46 +12,49 @@ from electronlab.errors import ConfigError
 class TestDefaults:
     def test_empty_file_yields_documented_defaults(self):
         cfg = parse_config("", ["subcommand=epr"])
-        assert cfg.seed == 12345
-        assert cfg.out == "out"
-        assert cfg.format == "csv"
-        assert cfg.params["epr.mode"] == "curve"
-        assert cfg.params["epr.n"] == 1_000_000
-        assert cfg.params["epr.angles_deg"] == (0.0, 45.0, 22.5, 67.5)
+        assert cfg["seed"] == 12345
+        assert cfg["out"] == "out"
+        assert cfg["format"] == "csv"
+        assert cfg["epr.mode"] == "curve"
+        assert cfg["epr.n"] == 1_000_000
+        assert cfg["epr.angles_deg"] == (0.0, 45.0, 22.5, 67.5)
 
     def test_params_scoped_to_subcommand(self):
         cfg = parse_config("", ["subcommand=budget"])
-        assert all(key.startswith("budget.") for key in cfg.params)
-        assert cfg.params["budget.band_energy_mev"] == 80.0
-        assert cfg.params["budget.convention"] == 0.5
+        assert all(key.startswith("budget.") for key in cfg if "." in key)
+        assert cfg["budget.band_energy_mev"] == 80.0
+        assert cfg["budget.convention"] == 0.5
 
     def test_resolved_view_is_complete(self):
         cfg = parse_config("", ["subcommand=electron"])
-        flat = cfg.resolved()
-        assert flat["subcommand"] == "electron"
-        assert flat["seed"] == 12345
-        assert flat["electron.zmax"] == pytest.approx(2.0 * math.pi)
-        electron_keys = {k for k in REGISTRY if k.startswith("electron.")}
-        assert electron_keys <= set(flat)
+        assert cfg["subcommand"] == "electron"
+        assert cfg["seed"] == 12345
+        assert cfg["electron.zmax"] == pytest.approx(2.0 * math.pi)
+        # the order every `#` line and "config" object echoes: the globals, then the
+        # subcommand's own keys sorted, and no key of another subcommand
+        for name in SUBCOMMANDS:
+            own = sorted(k for k in REGISTRY if k.startswith(name + "."))
+            assert list(parse_config("", [f"subcommand={name}"])) == \
+                ["subcommand", "seed", "out", "format", *own]
 
 
 class TestFileParsing:
     def test_file_sets_values(self):
         text = "subcommand = epr\nepr.delta_deg = 30\nseed = 7\n"
         cfg = parse_config(text)
-        assert cfg.subcommand == "epr"
-        assert cfg.params["epr.delta_deg"] == 30.0
-        assert cfg.seed == 7
+        assert cfg["subcommand"] == "epr"
+        assert cfg["epr.delta_deg"] == 30.0
+        assert cfg["seed"] == 7
 
     def test_comments_and_blank_lines_ignored(self):
         text = "\n# a comment\nsubcommand = budget  # trailing note\n\n"
         cfg = parse_config(text)
-        assert cfg.subcommand == "budget"
+        assert cfg["subcommand"] == "budget"
 
     def test_override_beats_file(self):
         cfg = parse_config("subcommand = epr\nepr.delta_deg = 0\n",
                            ["epr.delta_deg=45"])
-        assert cfg.params["epr.delta_deg"] == 45.0
+        assert cfg["epr.delta_deg"] == 45.0
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -101,7 +104,7 @@ class TestOverrides:
     def test_vector_values(self):
         cfg = parse_config("", ["subcommand=sterngerlach",
                                 "sterngerlach.u=0.5,0,2"])
-        assert cfg.params["sterngerlach.u"] == (0.5, 0.0, 2.0)
+        assert cfg["sterngerlach.u"] == (0.5, 0.0, 2.0)
 
     def test_vector_wrong_arity(self):
         with pytest.raises(ConfigError, match="sterngerlach.u"):
@@ -187,7 +190,7 @@ def _subcommand(key):
 @pytest.mark.parametrize("key, text", INSIDE, ids=_case_id)
 def test_value_inside_its_interval_accepted(key, text):
     cfg = parse_config("", [f"subcommand={_subcommand(key)}", f"{key}={text}"])
-    assert cfg.resolved()[key] == type(REGISTRY[key].default)(text)
+    assert cfg[key] == type(REGISTRY[key].default)(text)
 
 
 @pytest.mark.parametrize("key, text", OUTSIDE, ids=_case_id)

@@ -132,7 +132,7 @@ def argvs(draw):
 def _within_work_bound(argv):
     """False for an accepted argv above the work bound; True for every refused one."""
     try:
-        p = parse_config("", cli._collect_overrides(_PARSER.parse_args(argv))).params
+        p = parse_config("", cli._collect_overrides(_PARSER.parse_args(argv)))
     except (SystemExit, ConfigError):  # main then shows the refusal
         return True
     if "electron.points" in p:

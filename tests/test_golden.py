@@ -36,7 +36,7 @@ def test_the_command_check_reruns_the_records_through_the_script(monkeypatch, ca
 
 def test_a_refused_run_that_leaves_an_empty_out_differs(monkeypatch):
     run = cli.run
-    monkeypatch.setattr(cli, "run", lambda config: Path(config.out).mkdir() or run(config))
+    monkeypatch.setattr(cli, "run", lambda config: Path(config["out"]).mkdir() or run(config))
     case = BY_ARGV["budget --band-energy-mev 5e-324"]  # refused inside run, by the library
     assert golden.first_difference(case["argv"], case["record"], golden.record(case["argv"])) \
         == "budget --band-energy-mev 5e-324: out differs"
