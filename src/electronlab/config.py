@@ -59,7 +59,8 @@ _OPTIONS = [
     Option("epr.angles_deg", (0.0, 45.0, 22.5, 67.5),
            help="phi1, phi1', phi2, phi2' for the CHSH run"),
     Option("epr.angle_deg", 0.0, help="analyzer angle for singles"),
-    # ~21 s at 4.4e7-4.9e7 trials/s (one worker, 2-core Xeon VM); an unchecked n could take hours
+    # ~9-14 s at 7.4e7-1.2e8 trials/s (8 in-process runs of `epr --singles --n 100000000
+    # --workers 1`, 2-core Xeon VM); an unchecked n could take hours
     Option("epr.n", 1_000_000, help="Monte Carlo trials", within="[1, 1000000000]"),
     Option("epr.workers", 1, help="threads for the singles trials", within="[1, inf)"),
 

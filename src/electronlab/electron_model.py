@@ -8,8 +8,10 @@ even multivector: square root of the mass density in the scalar slot and
 square root of the spin density along the pseudovector i*e3 (the e1e2
 bivector slot), with the spin sign set by helicity.
 
-Closed forms for the spin pieces hold at the field phase phi = pi/2;
-other phases are rejected rather than approximated.
+The transverse field runs a quarter period ahead of the mass density. That
+phase is part of the model, not a parameter: it makes the spin density
+sin^2(phase) and the spin the geometric product of E and H. The mass is the
+unit system's electron mass.
 
 Conventions chosen where the model leaves slack: dispersion closed with
 the de Broglie pair wavelength = 2*pi*hbar/(m*u), nu = m*u^2/(4*pi*hbar),
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import ga3
 from .constants import ATOMIC_UNITS, UnitSystem
-from .errors import DomainError, UnsupportedConfigurationError, one_of, within
+from .errors import DomainError, one_of, within
 
 HELICITIES = ("plus", "minus")
 
@@ -47,16 +49,15 @@ class PlaneWaveElectron:
     """Parameters of one plane-wave electron plus derived amplitudes.
 
     `field_split` is the fraction of the field energy carried by E;
-    wavelength, nu, E0 and H0 are derived, never set directly.
+    mass, wavelength, nu, E0 and H0 are derived, never set directly.
     """
 
     rho0: float
     u: float
     helicity: str = "plus"
-    phi: float = math.pi / 2.0
-    mass: float | None = None
     units: UnitSystem = ATOMIC_UNITS
     field_split: float = 0.5
+    mass: float = field(init=False)
     wavelength: float = field(init=False)
     nu: float = field(init=False)
     E0: float = field(init=False)
@@ -67,9 +68,7 @@ class PlaneWaveElectron:
         within(self.u, "[0, inf)", "velocity")
         one_of(self.helicity, HELICITIES, "helicity")
         within(self.field_split, "(0, 1)", "field_split")
-        if self.mass is None:
-            object.__setattr__(self, "mass", self.units.m_e)
-        within(self.mass, "(0, inf)", "mass")
+        object.__setattr__(self, "mass", self.units.m_e)
         hbar = self.units.hbar
         object.__setattr__(self, "wavelength",
                            2.0 * math.pi * hbar / (self.mass * self.u) if self.u else math.inf)
@@ -81,11 +80,6 @@ class PlaneWaveElectron:
     @property
     def helicity_sign(self) -> float:
         return 1.0 if self.helicity == "plus" else -1.0
-
-    def _require_quarter_phase(self):
-        if self.phi != math.pi / 2.0:
-            raise UnsupportedConfigurationError(
-                f"closed form requires phi = pi/2, got phi = {self.phi!r}")
 
     def phase(self, z: float, t: float) -> float:
         """Travelling phase 2*pi*z/wavelength - 2*pi*nu*t."""
@@ -108,7 +102,7 @@ class PlaneWaveElectron:
 
     def fields(self, z: float, t: float) -> tuple[ga3.Multivector3, ga3.Multivector3]:
         """Transverse E along e1 and H along e2; H flips with helicity."""
-        c = math.cos(self.phase(z, t) + self.phi)
+        c = math.cos(self.phase(z, t) + math.pi / 2.0)
         e_vec = ga3.vector(self.E0 * c, 0.0, 0.0)
         h_vec = ga3.vector(0.0, self.helicity_sign * self.H0 * c, 0.0)
         return e_vec, h_vec
@@ -118,7 +112,6 @@ class PlaneWaveElectron:
 
         Equals the geometric product of the two transverse fields.
         """
-        self._require_quarter_phase()
         magnitude = self.E0 * self.H0 * math.sin(self.phase(z, t)) ** 2
         return ga3.pseudovector(0.0, 0.0, self.helicity_sign * magnitude)
 
@@ -141,7 +134,6 @@ class PlaneWaveElectron:
 
     def wavefunction(self, z: float, t: float) -> "WavefunctionSample":
         """Even multivector sqrt(rho) + i*e3*sqrt(S), spin sign by helicity."""
-        self._require_quarter_phase()
         psi = ga3.Multivector3(
             s=math.sqrt(self.density(z, t)),
             b12=self.helicity_sign * math.sqrt(self.spin_density(z, t)),
@@ -251,7 +243,6 @@ def profile_rows(e: PlaneWaveElectron, z_values: Sequence[float], t: float) -> P
     square of sin stay libm's `math.cos`, `math.sin` and `pow`, whose
     bits numpy's own loops do not promise.
     """
-    e._require_quarter_phase()
     within(e.u, "(0, inf)", "velocity")  # phase's check, once for the whole grid
     half_rho0 = 0.5 * e.rho0
     half_u2 = 0.5 * e.u**2

@@ -4,9 +4,9 @@
 of choices; every single-value bound is checked by one of them, so each refusal
 reads the same way. `within` parses each interval string once. Only `phase` keeps
 its own text, naming z and t; `profile_rows` tests a block of phases at once and calls
-`phase` only to word a refusal. Own text also stays where a check raises another type
-(`_require_quarter_phase`), is relative (`total_energy`), bounds no single value
-(force axis, wavefunction grade, `cli._json_text`) or is a type rule (`config._finite`).
+`phase` only to word a refusal. Own text also stays where a check is relative
+(`total_energy`), bounds no single value (force axis, wavefunction grade,
+`cli._json_text`) or is a type rule (`config._finite`).
 """
 
 import functools
@@ -18,10 +18,6 @@ class ElectronLabError(Exception):
 
 class DomainError(ElectronLabError, ValueError):
     """An argument lies outside the domain an operation is defined on."""
-
-
-class UnsupportedConfigurationError(ElectronLabError, ValueError):
-    """The requested parameter choice has no closed form in this model."""
 
 
 class ConfigError(ElectronLabError, ValueError):

@@ -90,17 +90,15 @@ def budget_report(band_energy_ev: float = 0.08,
                   lateral_resolution_pm: float = 20.0,
                   feature_height_pm: float = 30.0,
                   height_error_pm: float = 0.1,
-                  convention_factor: float = DEFAULT_CONVENTION,
-                  compliance_target_pm: float | None = None) -> UncertaintyBudget:
+                  convention_factor: float = DEFAULT_CONVENTION) -> UncertaintyBudget:
     """Evaluate the full chain and flag dx > lateral resolution.
 
-    The compliance energy is quoted for `compliance_target_pm`, by
-    default the lateral resolution itself.
+    The compliance energy is quoted at the lateral resolution: the band
+    energy at which dx would shrink to it.
     """
     within(lateral_resolution_pm, "(0, inf)", "lateral resolution")
     dp = momentum_uncertainty(band_energy_ev, mass)
     dx = position_uncertainty(dp, convention_factor)
-    target = lateral_resolution_pm if compliance_target_pm is None else compliance_target_pm
     return UncertaintyBudget(
         band_energy_ev=band_energy_ev,
         mass_kg=mass,
@@ -110,7 +108,7 @@ def budget_report(band_energy_ev: float = 0.08,
         feature_height_pm=feature_height_pm,
         height_error_pm=height_error_pm,
         relative_error=relative_feature_error(feature_height_pm, height_error_pm),
-        compliance_energy_ev=compliance_energy(target, mass, convention_factor),
+        compliance_energy_ev=compliance_energy(lateral_resolution_pm, mass, convention_factor),
         convention_factor=convention_factor,
         contradiction=dx > lateral_resolution_pm,
     )

@@ -388,6 +388,8 @@ REJECTED = [
     (["electron", "--rho0", "1e300", "--u", "1e300", "--points", "2"], "range"),
     (["electron", "--zmax", "1e308", "--points", "3"], "phase"),
     (["electron", "--t", "1e308", "--u", "1e10"], "phase"),
+    # every profile cell is finite, but the header's wavelength 2*pi*hbar/(m*u) is inf
+    (["electron", "--u", "1e-310"], "non-finite value"),
     # a zero length or speed, named by the key or the argument that is zero
     (["sterngerlach", "--bdir", "0,0,0"], "sterngerlach.bdir length must lie in (0, inf), got 0.0"),
     (["sterngerlach", "--es0", "0,0,0"], "sterngerlach.es0 length must lie in (0, inf), got 0.0"),

@@ -20,7 +20,7 @@ from electronlab.electron_model import (
     WavefunctionSample,
     profile_rows,
 )
-from electronlab.errors import DomainError, UnsupportedConfigurationError
+from electronlab.errors import DomainError
 
 
 @pytest.fixture
@@ -76,10 +76,10 @@ class TestDerivedQuantities:
         with pytest.raises(DomainError):
             PlaneWaveElectron(rho0=1.0, u=1.0, field_split=1.0)
 
-    @given(st.sampled_from(["rho0", "u", "mass"]),
+    @given(st.sampled_from(["rho0", "u"]),
            st.sampled_from([math.nan, math.inf, -math.inf]))
     def test_non_finite_inputs_rejected(self, name, bad):
-        kwargs = {"rho0": 1.0, "u": 1.0, "mass": 1.0, name: bad}
+        kwargs = {"rho0": 1.0, "u": 1.0, name: bad}
         with pytest.raises(DomainError):
             PlaneWaveElectron(**kwargs)
 
@@ -127,12 +127,6 @@ class TestFields:
         assert abs(e_vec.v1) <= 1e-12 * e.E0
         assert abs(h_vec.v2) <= 1e-12 * e.H0
 
-    def test_zero_phase_peaks_at_origin(self):
-        e = PlaneWaveElectron(rho0=1.0, u=1.0, phi=0.0)
-        e_vec, h_vec = e.fields(0.0, 0.0)
-        assert e_vec == ga3.vector(e.E0, 0.0, 0.0)
-        assert h_vec == ga3.vector(0.0, e.H0, 0.0)
-
     def test_transverse_to_motion(self, e):
         for z, t in sample_points(e, 50):
             e_vec, h_vec = e.fields(z, t)
@@ -169,11 +163,6 @@ class TestSpin:
     def test_helicity_sign(self):
         minus = PlaneWaveElectron(rho0=1.0, u=1.0, helicity="minus")
         assert minus.spin(minus.wavelength / 4.0, 0.0).b12 < 0.0
-
-    def test_rejects_other_phases(self):
-        tilted = PlaneWaveElectron(rho0=1.0, u=1.0, phi=0.3)
-        with pytest.raises(UnsupportedConfigurationError):
-            tilted.spin(0.0, 0.0)
 
 
 class TestEnergyBookkeeping:
@@ -488,10 +477,6 @@ class TestProfileRowsOracle:
     def test_at_rest_is_a_domain_error(self):
         with pytest.raises(DomainError):
             profile_rows(PlaneWaveElectron(rho0=1.0, u=0.0), [0.0, 1.0], 0.0)
-
-    def test_other_field_phase_is_unsupported(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            profile_rows(PlaneWaveElectron(rho0=1.0, u=1.0, phi=0.0), [0.0, 1.0], 0.0)
 
     def test_phase_overflow_is_a_domain_error(self, e):
         # the text `phase` words, naming the first z that overflows, in the first block

@@ -180,7 +180,7 @@ VALID_CALLS = [
     (compliance_energy, {"target_dx_pm": 20.0, "mass": M_E, "convention_factor": 0.5}),
     (budget_report, {"band_energy_ev": 0.08, "mass": M_E, "lateral_resolution_pm": 20.0,
                      "feature_height_pm": 30.0, "height_error_pm": 0.1,
-                     "convention_factor": 0.5, "compliance_target_pm": 20.0}),
+                     "convention_factor": 0.5}),
 ]
 
 
