@@ -52,11 +52,12 @@ def _json_text(config: dict, **fields) -> str:
         raise DomainError(_NON_FINITE) from None
 
 
-def _write(path: Path, text: str):
-    # the first artifact creates --out, so a refused run leaves nothing behind
+def _write(path: Path, text: str, report: str = ""):
+    # the first artifact creates --out, so a refused run leaves nothing behind, and
+    # `report` prints after the write, so a failed write prints nothing
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
-    print(f"wrote {path}")
+    print(f"{report}wrote {path}")
 
 
 _CHUNK_ROWS = 1024  # rows encoded per pass; only one chunk's cell tokens are alive at once
@@ -130,6 +131,26 @@ def _write_table(out: Path, name: str, table, config: dict, **header):
     _write(out / f"{name}.json", json_text)
 
 
+def plan(config: dict) -> tuple[int, int, int]:
+    """Rows, RK4 steps and Monte Carlo trials of a `parse_config` mapping's run, from its keys
+    alone; DomainError for a trajectory `spin_dynamics.schedule` refuses or over the row cap."""
+    name, mode = config["subcommand"], config.get("epr.mode")
+    if name == "electron":
+        return config["electron.points"], 0, 0
+    if mode == "curve":
+        return round(360.0 / config["epr.step_deg"]), 0, 0
+    if mode == "singles":
+        return 0, 0, config["epr.n"]
+    if name == "sterngerlach":
+        steps, records = spin_dynamics.schedule(config["sterngerlach.duration"],
+                                                config["sterngerlach.dt"],
+                                                config["sterngerlach.record_every"])
+        within(records, f"[1, {MAX_ROWS}]",
+               "row count of sterngerlach.duration / sterngerlach.dt / sterngerlach.record_every")
+        return records, steps, 0
+    return 0, 0, 0  # chsh and budget write reports, not tables
+
+
 def _run_electron(config: dict, out: Path) -> int:
     """density/energy/wavefunction profiles"""
     points = config["electron.points"]
@@ -164,9 +185,8 @@ def _run_epr(config: dict, out: Path) -> int:
     delta = radians(config["epr.delta_deg"])
 
     if mode == "curve":
-        step = config["epr.step_deg"]
-        count = int(round(360.0 / step))
-        phis = np.arange(count) * step  # each product rounds once, as i * step does
+        count = plan(config)[0]
+        phis = np.arange(count) * config["epr.step_deg"]  # each product rounds once, as i * step
         es = np.fromiter((epr_model.expectation(epr_model.AnalyzerPair(0.0, radians(phi), delta))
                           for phi in phis.tolist()), np.float64, count)
         _write_table(out, "epr_curve", {"phi_deg": phis, "E": es}, config)
@@ -210,12 +230,10 @@ def _run_sterngerlach(config: dict, out: Path) -> int:
         ramp = spin_dynamics.cosine_ramp(rate * duration, duration, b_dir)
     params = spin_dynamics.LLParams(kappa=config["sterngerlach.kappa"],
                                     u=config["sterngerlach.u"], dt=config["sterngerlach.dt"])
-    every = config["sterngerlach.record_every"]
-    within(spin_dynamics.schedule(duration, params.dt, every)[1], f"[1, {MAX_ROWS}]",
-           "row count of sterngerlach.duration / sterngerlach.dt / sterngerlach.record_every")
+    plan(config)  # refuses a trajectory over the row cap before it is integrated
     within(spin_dynamics.norm(config["sterngerlach.es0"]), "(0, inf)", "sterngerlach.es0 length")
     state0 = spin_dynamics.SpinState.from_vector(config["sterngerlach.es0"])
-    trajectory = spin_dynamics.integrate(state0, ramp, params, record_every=every)
+    trajectory = spin_dynamics.integrate(state0, ramp, params, config["sterngerlach.record_every"])
 
     bx, by, bz = ramp.b_dir
     t, ex, ey, ez = trajectory.t, trajectory.ex, trajectory.ey, trajectory.ez
@@ -249,11 +267,9 @@ def _run_budget(config: dict, out: Path) -> int:
         convention_factor=config["budget.convention"],
     )
     fields = budget.as_dict()
-    text = _json_text(config, budget=fields)  # built first, so a refused report prints nothing
     width = max(len(k) for k in fields)
-    for key, value in fields.items():
-        print(f"{key:<{width}}  {_fmt(value)}")
-    _write(out / "budget.json", text)
+    _write(out / "budget.json", _json_text(config, budget=fields),
+           "".join(f"{key:<{width}}  {_fmt(value)}\n" for key, value in fields.items()))
     return 0
 
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from electronlab import __version__, cli, spin_dynamics
+from electronlab import __version__, cli
 from electronlab.cli import main
 from electronlab.config import MAX_ROWS, REGISTRY, SUBCOMMANDS, parse_config
 from electronlab.electron_model import PROFILE_COLUMNS, PlaneWaveElectron, profile_rows
@@ -296,7 +296,8 @@ class TestErrorSurfacing:
         blocker.write_text("file, not a directory", encoding="utf-8")
         code = main(["budget", "--out", str(blocker / "sub")])
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:")
 
     def test_unknown_config_key_reported(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -441,24 +442,13 @@ def test_bad_config_file_or_out_path_exits_1_with_one_error_line(argv, fragment,
     assert [p.name for p in tmp_path.rglob("*")] == ["latin1.cfg"]
 
 
-def test_row_cap_compares_the_exact_record_count(monkeypatch, tmp_path, capsys):
+def test_row_cap_compares_the_exact_record_count(tmp_path, capsys):
     """Exactly MAX_ROWS records pass the row check, and one more is refused."""
-    counts = []
-
-    def stop(state0, ramp, params, record_every):  # stands in for a 9 s integration
-        counts.append(spin_dynamics.schedule(ramp.duration, params.dt, record_every)[1])
-        raise DomainError("stopped before integrating")
-
-    monkeypatch.setattr(spin_dynamics, "integrate", stop)
-    out = ["--out", str(tmp_path / "out")]
     # 999 999.4 and 1 999 998.6 steps round to 999 999 and 1 999 999
-    assert main(["sterngerlach", "--dt", "1.00000060000036e-06"] + out) == 1
-    assert main(["sterngerlach", "--duration", "2", "--dt", "1.0000010000005e-06",
-                 "--record-every", "2"] + out) == 1
-    assert counts == [MAX_ROWS, MAX_ROWS]
-    capsys.readouterr()
-    assert main(["sterngerlach", "--dt", "1e-6"] + out) == 1
-    assert counts == [MAX_ROWS, MAX_ROWS]
+    for keys in ("dt=1.00000060000036e-06", "duration=2 dt=1.0000010000005e-06 record_every=2"):
+        overrides = ["subcommand=sterngerlach"] + [f"sterngerlach.{k}" for k in keys.split()]
+        assert cli.plan(parse_config("", overrides))[0] == MAX_ROWS
+    assert main(["sterngerlach", "--dt", "1e-6", "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "sterngerlach.dt" in err[0]
 

@@ -1,9 +1,10 @@
 """The exit contract, over argv drawn from the config registry.
 
 Every run of `main` ends one of two ways: exit 0 with RFC 8259 JSON
-artifacts (no NaN or Infinity token), each CSV holding the rows of its
-JSON mirror and stdout naming each file once; or exit 1 with one
-`error:` line on stderr, nothing on stdout and no `--out` directory. It
+artifacts (no NaN or Infinity token), one table of the rows `cli.plan`
+counts (none if it counts none), each CSV holding the rows of its JSON
+mirror and stdout naming each file once; or exit 1 with one `error:`
+line on stderr, nothing on stdout and no `--out` directory. It
 never raises and never exits 2 (argparse's usage error). The same values
 in a `--config` file give the same exit code, stdout and artifacts, and
 the same error after its `line N:` or `override:` prefix.
@@ -21,9 +22,9 @@ inside the work bound, and zmin < zmax, so that about half of all argv
 are accepted.
 
 Work bound: an argv the registry accepts is assumed away if it asks for
-more than 10**3 profile points, 10**3 curve settings, 10**4 Monte Carlo
-trials or 2*10**4 RK4 steps (as `spin_dynamics.schedule` counts them).
-Refused argv, including a step count `schedule` refuses, always stay in.
+more than 10**3 rows of a run without RK4 steps, 10**4 Monte Carlo
+trials or 2*10**4 RK4 steps, as `cli.plan` counts them. Refused argv,
+including a count `plan` refuses, always stay in.
 
 Four argv are pinned with `example`: `electron --zmin=-1.7e+308` breaks
 the contract if `phase` or `profile_rows` loses its finiteness test,
@@ -48,7 +49,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from electronlab import cli, spin_dynamics
+from electronlab import cli
 from electronlab.config import REGISTRY, SUBCOMMANDS, parse_config
 from electronlab.errors import ConfigError, DomainError, _ends
 
@@ -129,25 +130,17 @@ def argvs(draw):
     return argv + [draw(flag) for flag in options.values() if draw(st.booleans())]
 
 
-def _within_work_bound(argv):
-    """False for an accepted argv above the work bound; True for every refused one."""
+def _plan(argv):
+    """`cli.plan` of the argv's configuration; (0, 0, 0) for an argv refused before it runs."""
     try:
-        p = parse_config("", cli._collect_overrides(_PARSER.parse_args(argv)))
-    except (SystemExit, ConfigError):  # main then shows the refusal
-        return True
-    if "electron.points" in p:
-        return p["electron.points"] <= 10**3
-    if p.get("epr.mode") == "curve":
-        return round(360.0 / p["epr.step_deg"]) <= 10**3
-    if p.get("epr.mode") == "singles":
-        return p["epr.n"] <= 10**4
-    if "sterngerlach.dt" in p:
-        try:
-            return spin_dynamics.schedule(p["sterngerlach.duration"], p["sterngerlach.dt"],
-                                          p["sterngerlach.record_every"])[0] <= 2 * 10**4
-        except DomainError:
-            return True
-    return True
+        return cli.plan(parse_config("", cli._collect_overrides(_PARSER.parse_args(argv))))
+    except (SystemExit, ConfigError, DomainError):  # main then shows the refusal
+        return 0, 0, 0
+
+
+def _within_work_bound(rows, steps, trials):
+    """False for a plan above the work bound; a refused argv plans no work, so it stays in."""
+    return (steps > 0 or rows <= 10**3) and steps <= 2 * 10**4 and trials <= 10**4
 
 
 def _reject_constant(token):
@@ -181,21 +174,22 @@ def _run(argv, out):
 @example(argv=["electron", "--u=1.7e+308"])
 @example(argv=["budget", "--feature-pm=1e-320", "--error-pm=1e+308"])
 def test_every_argv_keeps_the_exit_contract(argv):
-    assume(_within_work_bound(argv))
+    rows, steps, trials = _plan(argv)
+    assume(_within_work_bound(rows, steps, trials))
     with tempfile.TemporaryDirectory() as tmp:
         out, config = Path(tmp) / "out", Path(tmp) / "run.cfg"
         code, stdout, stderr, files = run = _run(argv, out)
         if code == 0:
             wrote = sorted(line for line in stdout.splitlines() if line.startswith("wrote "))
             assert wrote == sorted(f"wrote {out / name}" for name in files), argv
-            for path in out.iterdir():
-                if path.suffix == ".json":
-                    json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
-                else:
-                    mirror = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-                    # a cell is the repr of its JSON number, so -0.0 and 0.0 differ
-                    assert _csv_rows(path) == [{k: repr(v) for k, v in row.items()}
-                                               for row in mirror["rows"]], argv
+            docs = {Path(name).stem: json.loads(data.decode(), parse_constant=_reject_constant)
+                    for name, data in files.items() if name.endswith(".json")}
+            # one table of the rows `plan` counts, or none if it counts none
+            assert [len(d["rows"]) for d in docs.values() if "rows" in d] == [rows] * (rows > 0)
+            for path in out.glob("*.csv"):
+                # a cell is the repr of its JSON number, so -0.0 and 0.0 differ
+                assert _csv_rows(path) == [{k: repr(v) for k, v in row.items()}
+                                           for row in docs[path.stem]["rows"]], argv
         else:
             lines = stderr.splitlines()
             assert code == 1, argv
